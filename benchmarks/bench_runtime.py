@@ -3,7 +3,7 @@
 Every other bench in this directory measures the *simulator* (virtual
 time) or a pure kernel.  This one measures the real execution backend
 (DESIGN.md §2.16): a :class:`~repro.runtime.cluster.LocalCluster` spawns
-one ``repro serve`` child process per replica site, dials each over
+one child process per replica site, dials each over
 localhost TCP, and drives the same :class:`QuorumCoordinator` the
 simulator uses — so the numbers below are wall-clock protocol cost
 (framing, sockets, asyncio scheduling, 2PC round trips), not model

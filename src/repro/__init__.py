@@ -23,10 +23,24 @@ Quickstart::
     protocol = core.ArbitraryProtocol(tree)
     summary = core.analyse(tree, p=0.7)
     print(summary.read_cost, summary.write_load)
+
+Subpackages load on first attribute access (PEP 562), so a process that
+needs only part of the library — a replica site serving one socket —
+never pays for numpy, scipy or the analysis code.
 """
 
-from repro import analysis, core, protocols, quorums, sim
+import importlib
 
 __version__ = "1.0.0"
 
 __all__ = ["analysis", "core", "protocols", "quorums", "sim", "__version__"]
+
+
+def __getattr__(name: str):
+    if name in __all__:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -798,26 +798,6 @@ def _add_trace_sim_arguments(parser) -> None:
                         help="replica count for --protocol")
 
 
-def _run_serve(args) -> int:
-    """``repro serve``: run one replica site process until killed."""
-    import asyncio
-
-    from repro.runtime.siteserver import serve_site
-
-    try:
-        asyncio.run(
-            serve_site(
-                args.sid,
-                host=args.host,
-                port=args.port,
-                service_time=args.service_time,
-            )
-        )
-    except KeyboardInterrupt:
-        pass
-    return 0
-
-
 def _run_cluster(args) -> int:
     """``repro cluster``: real processes, real sockets, optional kill -9."""
     import asyncio
@@ -1210,22 +1190,12 @@ def build_parser() -> argparse.ArgumentParser:
              "running a fresh simulation",
     )
 
-    serve_parser = sub.add_parser(
-        "serve",
+    # Listed here for ``repro --help`` only: ``main`` hands ``serve`` and
+    # everything after it to the site process's own parser.
+    sub.add_parser(
+        "serve", add_help=False,
         help="run ONE replica site as a real TCP server (the runtime "
              "backend's per-process entry point)",
-    )
-    serve_parser.add_argument("--sid", type=int, required=True,
-                              help="this site's replica SID (>= 0)")
-    serve_parser.add_argument("--host", default="127.0.0.1")
-    serve_parser.add_argument(
-        "--port", type=int, default=0,
-        help="listen port (0 = ephemeral; the bound port is announced on "
-             "stdout as 'REPRO-SITE sid=... port=...')",
-    )
-    serve_parser.add_argument(
-        "--service-time", type=float, default=0.0,
-        help="artificial per-message processing delay in seconds",
     )
 
     cluster_parser = sub.add_parser(
@@ -1272,6 +1242,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] == ["serve"]:
+        from repro.runtime.siteserver import main as serve_main
+
+        return serve_main(argv[1:], prog="repro serve")
     args = build_parser().parse_args(argv)
     if args.command == "example":
         _print_example()
@@ -1319,8 +1294,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         _print_profile(args)
     elif args.command == "report":
         _print_report(args)
-    elif args.command == "serve":
-        return _run_serve(args)
     elif args.command == "cluster":
         return _run_cluster(args)
     elif args.command == "all":

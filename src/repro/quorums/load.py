@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import TypeVar
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.quorums.base import SetSystem
 from repro.quorums.bitset import try_pack
@@ -124,6 +123,9 @@ def optimal_load(
     number of levels.  Use this for the small/medium systems in tests and
     benches; the closed forms in :mod:`repro.core.metrics` cover all sizes.
     """
+    # scipy costs ~0.6 s to import; only the LP solve needs it.
+    from scipy.optimize import linprog
+
     if isinstance(quorums, SetSystem):
         system = quorums
     else:

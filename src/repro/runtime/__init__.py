@@ -14,7 +14,7 @@ OS process:
 * :mod:`~repro.runtime.loopback` — the minimal in-process transport
   (seam conformance tests);
 * :mod:`~repro.runtime.siteserver` — one replica site served over TCP
-  (the ``repro serve`` entry point);
+  (the site-process entry point, also ``repro serve``);
 * :mod:`~repro.runtime.transport` — the coordinator-side TCP transport;
 * :mod:`~repro.runtime.cluster` — spawn N local site processes, wire a
   coordinator front-end, serve a get/put KV API, and inject SIGKILL

@@ -1,9 +1,10 @@
 """Local cluster orchestration — the ``repro cluster`` entry point.
 
-Spawns N real site processes (each running ``repro serve`` on an
-ephemeral localhost port), dials them with a :class:`TcpTransport`, and
-drives the *same* :class:`~repro.sim.coordinator.QuorumCoordinator` the
-simulator uses — wall-clock timeouts, real retry backoff, real sockets.
+Spawns N real site processes (each running
+``python -m repro.runtime.siteserver`` on an ephemeral localhost port),
+dials them with a :class:`TcpTransport`, and drives the *same*
+:class:`~repro.sim.coordinator.QuorumCoordinator` the simulator uses —
+wall-clock timeouts, real retry backoff, real sockets.
 On top of the coordinator sit:
 
 * an awaitable :meth:`LocalCluster.get`/:meth:`LocalCluster.put` pair
@@ -66,23 +67,35 @@ class SiteProcess:
         self.proc: subprocess.Popen | None = None
 
     async def spawn(self, timeout: float = 10.0) -> None:
-        """Start ``repro serve`` and scrape the announced ephemeral port."""
+        """Start the site process and scrape its announced ephemeral port.
+
+        The announcement is read on the event loop itself, not on an
+        executor thread, so ``timeout`` bounds this site's own start-up
+        and never counts time spent queued behind other sites' reads.
+        """
         self.proc = subprocess.Popen(
             [
-                sys.executable, "-m", "repro", "serve",
+                sys.executable, "-m", "repro.runtime.siteserver",
                 "--sid", str(self.sid), "--host", self.host, "--port", "0",
             ],
             env=_site_env(),
             stdout=subprocess.PIPE,
             stderr=subprocess.DEVNULL,
-            text=True,
         )
-        loop = asyncio.get_running_loop()
-        assert self.proc.stdout is not None
-        while True:
-            line = await asyncio.wait_for(
-                loop.run_in_executor(None, self.proc.stdout.readline), timeout
+        reader = asyncio.StreamReader()
+        pipe, _ = await asyncio.get_running_loop().connect_read_pipe(
+            lambda: asyncio.StreamReaderProtocol(reader), self.proc.stdout
+        )
+        try:
+            self.port = await asyncio.wait_for(
+                self._announced_port(reader), timeout
             )
+        finally:
+            pipe.close()
+
+    async def _announced_port(self, reader: asyncio.StreamReader) -> int:
+        while True:
+            line = (await reader.readline()).decode()
             if not line:
                 raise RuntimeError(
                     f"site {self.sid} exited before announcing its port "
@@ -93,8 +106,7 @@ class SiteProcess:
                     part.split("=", 1)
                     for part in line[len(_ANNOUNCE_PREFIX):].split()
                 )
-                self.port = int(fields["port"])
-                return
+                return int(fields["port"])
 
     @property
     def alive(self) -> bool:
@@ -156,7 +168,18 @@ class LocalCluster:
         self.transport = TcpTransport(local_sid=-1)
         self.sites = [SiteProcess(sid, self.host) for sid in range(self.n)]
         try:
-            await asyncio.gather(*(site.spawn() for site in self.sites))
+            spawned = await asyncio.gather(
+                *(site.spawn() for site in self.sites), return_exceptions=True
+            )
+            silent = [
+                site.sid for site, outcome in zip(self.sites, spawned)
+                if isinstance(outcome, asyncio.TimeoutError)
+            ]
+            if silent:
+                raise TimeoutError(f"sites {silent} never announced a port")
+            for outcome in spawned:
+                if isinstance(outcome, BaseException):
+                    raise outcome
             await asyncio.gather(
                 *(
                     self.transport.connect(site.sid, site.host, site.port)

@@ -1,4 +1,9 @@
-"""One replica site served over TCP — the ``repro serve`` entry point.
+"""One replica site served over TCP — the site-process entry point.
+
+``python -m repro.runtime.siteserver --sid N`` and ``repro serve --sid
+N`` both run :func:`main`.  What this module imports is a site process's
+whole import budget, so it must not reach :mod:`repro.cli`,
+:mod:`repro.quorums.load` or :mod:`repro.sim.engine`.
 
 A :class:`SiteServer` owns a *real* :class:`repro.sim.site.Site` — the
 same class the simulator runs, with its versioned store, 2PC prepare log
@@ -23,8 +28,11 @@ storage intact and runs the site's 2PC termination protocol.
 
 from __future__ import annotations
 
+import argparse
 import asyncio
 import contextlib
+import sys
+from collections.abc import Sequence
 from typing import Any
 
 from repro.runtime.clock import AsyncClock
@@ -209,7 +217,7 @@ async def serve_site(
     service_time: float = 0.0,
     announce: bool = True,
 ) -> None:
-    """Run one site process until cancelled (``repro serve``).
+    """Run one site process until cancelled (see :func:`main`).
 
     Prints ``REPRO-SITE sid=<sid> port=<port>`` once the socket is bound
     so a parent orchestrator can scrape the ephemeral port.
@@ -222,3 +230,41 @@ async def serve_site(
         await asyncio.Event().wait()  # serve until cancelled/killed
     finally:
         await server.stop()
+
+
+def main(argv: Sequence[str] | None = None, prog: str | None = None) -> int:
+    """Parse the site flags — defined here and nowhere else — and serve."""
+    parser = argparse.ArgumentParser(
+        prog=prog,
+        description="run ONE replica site as a real TCP server (the "
+                    "runtime backend's per-process entry point)",
+    )
+    parser.add_argument("--sid", type=int, required=True,
+                        help="this site's replica SID (>= 0)")
+    parser.add_argument("--host", default="127.0.0.1")
+    parser.add_argument(
+        "--port", type=int, default=0,
+        help="listen port (0 = ephemeral; the bound port is announced on "
+             "stdout as 'REPRO-SITE sid=... port=...')",
+    )
+    parser.add_argument(
+        "--service-time", type=float, default=0.0,
+        help="artificial per-message processing delay in seconds",
+    )
+    args = parser.parse_args(argv)
+    try:
+        asyncio.run(
+            serve_site(
+                args.sid,
+                host=args.host,
+                port=args.port,
+                service_time=args.service_time,
+            )
+        )
+    except KeyboardInterrupt:
+        pass
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -86,10 +86,6 @@ class TcpTransport:
         writer = self._writers.get(sid)
         return writer is not None and not writer.is_closing()
 
-    def live_sids(self) -> list[int]:
-        """Every currently connected site SID, sorted."""
-        return sorted(sid for sid in self._writers if self.is_live(sid))
-
     @property
     def liveness_epoch(self) -> int:
         """Counter bumped on every connect/disconnect."""

@@ -20,70 +20,62 @@ availability, per-replica load) can also be *measured* end-to-end:
   metrics) via :mod:`repro.obs` — pass ``SimulationConfig(trace=True)``.
 """
 
-from repro.sim.coordinator import OperationOutcome, QuorumCoordinator
-from repro.sim.engine import (
-    ReplicaGroup,
-    SimulationConfig,
-    SimulationResult,
-    build_replica_group,
-    run_workload,
-    simulate,
-)
-from repro.sim.events import Scheduler
-from repro.sim.failures import BernoulliFailures, CrashRepairProcess, FailureInjector
-from repro.sim.locks import LockManager, LockMode
-from repro.sim.messages import (
-    AbortMessage,
-    CommitMessage,
-    PrepareMessage,
-    ReadReply,
-    ReadRequest,
-    VoteMessage,
-)
-from repro.sim.monitor import Monitor, ShardedMonitor
-from repro.sim.network import Network, PartitionSpec, RegionLatencyMatrix
-from repro.sim.reconfigure import ReconfigOutcome, ReconfigStatus, TreeReconfigurer
-from repro.sim.replica import Timestamp, VersionedStore
-from repro.sim.site import Site, SiteState
-from repro.sim.transactions import Operation, OperationType, Transaction
-from repro.sim.workload import Workload, WorkloadSpec
+import importlib
 
-__all__ = [
-    "AbortMessage",
-    "BernoulliFailures",
-    "CommitMessage",
-    "CrashRepairProcess",
-    "FailureInjector",
-    "LockManager",
-    "LockMode",
-    "Monitor",
-    "Network",
-    "Operation",
-    "OperationOutcome",
-    "OperationType",
-    "PartitionSpec",
-    "PrepareMessage",
-    "QuorumCoordinator",
-    "ReadReply",
-    "ReconfigOutcome",
-    "ReconfigStatus",
-    "TreeReconfigurer",
-    "ReadRequest",
-    "RegionLatencyMatrix",
-    "ReplicaGroup",
-    "Scheduler",
-    "ShardedMonitor",
-    "SimulationConfig",
-    "SimulationResult",
-    "Site",
-    "SiteState",
-    "Timestamp",
-    "Transaction",
-    "VersionedStore",
-    "VoteMessage",
-    "Workload",
-    "WorkloadSpec",
-    "build_replica_group",
-    "run_workload",
-    "simulate",
-]
+#: Where each re-exported name lives; resolved on first access (PEP 562)
+#: so importing one submodule — :mod:`repro.sim.site` in a replica
+#: process — does not load the coordinator, the engine or numpy.
+_EXPORTS = {
+    "OperationOutcome": "coordinator",
+    "QuorumCoordinator": "coordinator",
+    "ReplicaGroup": "engine",
+    "SimulationConfig": "engine",
+    "SimulationResult": "engine",
+    "build_replica_group": "engine",
+    "run_workload": "engine",
+    "simulate": "engine",
+    "Scheduler": "events",
+    "BernoulliFailures": "failures",
+    "CrashRepairProcess": "failures",
+    "FailureInjector": "failures",
+    "LockManager": "locks",
+    "LockMode": "locks",
+    "AbortMessage": "messages",
+    "CommitMessage": "messages",
+    "PrepareMessage": "messages",
+    "ReadReply": "messages",
+    "ReadRequest": "messages",
+    "VoteMessage": "messages",
+    "Monitor": "monitor",
+    "ShardedMonitor": "monitor",
+    "Network": "network",
+    "PartitionSpec": "network",
+    "RegionLatencyMatrix": "network",
+    "ReconfigOutcome": "reconfigure",
+    "ReconfigStatus": "reconfigure",
+    "TreeReconfigurer": "reconfigure",
+    "Timestamp": "replica",
+    "VersionedStore": "replica",
+    "Site": "site",
+    "SiteState": "site",
+    "Operation": "transactions",
+    "OperationType": "transactions",
+    "Transaction": "transactions",
+    "Workload": "workload",
+    "WorkloadSpec": "workload",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

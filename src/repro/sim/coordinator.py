@@ -762,18 +762,6 @@ class QuorumCoordinator:
             key, value, on_done, write_system=None, started_at=submitted_at
         )
 
-    def write_now(
-        self,
-        key: Any,
-        value: Any,
-        on_done: DoneCallback,
-        started_at: float | None = None,
-    ) -> None:
-        """The immediate write pipeline (see :meth:`read_now`)."""
-        self._write(
-            key, value, on_done, write_system=None, started_at=started_at
-        )
-
     # ------------------------------------------------------------------
     # reconfiguration pause gate
     # ------------------------------------------------------------------

@@ -118,18 +118,6 @@ class OperationSummary:
         """Latency percentile (e.g. 0.5, 0.95) of successful operations."""
         return _percentile(sorted(self.latencies), fraction)
 
-    def failure_latency_percentile(self, fraction: float) -> float:
-        """Latency percentile of failed operations."""
-        return _percentile(sorted(self.failure_latencies), fraction)
-
-    def latency_histogram(
-        self, start: float = 1.0, factor: float = 2.0, buckets: int = 12
-    ) -> Histogram:
-        """Histogram of successful-operation latencies."""
-        return Histogram.exponential(start, factor, buckets).extend(
-            self.latencies
-        )
-
     def merge(self, other: "OperationSummary") -> "OperationSummary":
         """Fold ``other``'s aggregates into this summary (returns self).
 
@@ -255,15 +243,6 @@ class Monitor:
             return {sid: math.nan for sid in self._replica_ids}
         return {
             sid: self._read_touches.get(sid, 0) / self.reads.succeeded
-            for sid in self._replica_ids
-        }
-
-    def per_replica_write_load(self) -> dict[int, float]:
-        """Write-quorum participation fraction per replica."""
-        if self.writes.succeeded == 0:
-            return {sid: math.nan for sid in self._replica_ids}
-        return {
-            sid: self._write_touches.get(sid, 0) / self.writes.succeeded
             for sid in self._replica_ids
         }
 

@@ -67,11 +67,6 @@ class SiteStats:
     crashes: int = 0
     recoveries: int = 0
 
-    @property
-    def quorum_touches(self) -> int:
-        """How many quorum memberships this site served (read + prepare)."""
-        return self.reads_served + self.prepares
-
 
 class Site:
     """One replica site.

@@ -1,17 +1,20 @@
 """Real-process cluster: spawn, serve, SIGKILL, shut down clean.
 
-These tests spawn actual ``repro serve`` child processes and talk to
-them over real localhost TCP — the full runtime stack.  One test drives
-everything (spawn is the expensive part): smoke traffic, the kill -9
+These tests spawn actual site child processes and talk to
+them over real localhost TCP — the full runtime stack.  The first test
+drives everything (spawn is the expensive part): smoke traffic, the kill -9
 chaos injection with reads surviving, the KV front-end API, and an
 orphan-free shutdown.
 """
 
 import asyncio
 
+import pytest
+
 from repro.runtime.cluster import (
     KVFrontend,
     LocalCluster,
+    SiteProcess,
     kv_request,
     percentile,
     run_traffic,
@@ -74,6 +77,44 @@ def test_cluster_serves_sigkill_survives_and_shuts_down_clean():
         assert return_codes[2] == -9  # the SIGKILLed site
 
     asyncio.run(asyncio.wait_for(main(), 90.0))
+
+
+def test_large_cluster_starts_serves_and_stops_clean():
+    # 15 sites outnumber the default executor's threads on a small host,
+    # so start-up must not wait on executor threads.
+    async def main():
+        cluster = LocalCluster(spec="1-3-5-7", timeout=1.0, max_attempts=4)
+        await cluster.start()
+        try:
+            assert cluster.n == 15
+            put = await cluster.put("k", "v")
+            assert put.success
+            got = await cluster.get("k")
+            assert got.success and got.value == "v"
+        finally:
+            await cluster.stop()
+        assert cluster.orphans() == []
+
+    asyncio.run(asyncio.wait_for(main(), 90.0))
+
+
+def test_spawn_timeout_names_the_silent_sites(monkeypatch):
+    async def silent(self, reader):
+        await asyncio.Event().wait()
+
+    spawn = SiteProcess.spawn
+    monkeypatch.setattr(SiteProcess, "_announced_port", silent)
+    monkeypatch.setattr(
+        SiteProcess, "spawn", lambda self: spawn(self, timeout=0.2)
+    )
+
+    async def main():
+        cluster = LocalCluster(spec="1-3")
+        with pytest.raises(TimeoutError, match=r"sites \[0, 1, 2\]"):
+            await cluster.start()
+        assert cluster.orphans() == []
+
+    asyncio.run(asyncio.wait_for(main(), 60.0))
 
 
 def test_percentile_nearest_rank():
