@@ -28,6 +28,19 @@ counters.  Acceptance (the CI smoke gate):
 Every number is simulated time from a seeded run — bit-stable across
 hosts, so the recorded JSON is a regression baseline, not a noisy timing.
 
+The pytest tests at the end measure the *cost* of shifting along the
+spectrum at runtime — the conclusion's "no need to implement a new
+protocol" claim implies reconfiguration is cheap.  They run the quiescent
+state-transfer migration (one atomic copy per key: read via the old tree
+and re-write via the new tree under a single exclusive lock) across
+system sizes and key counts, and assert:
+
+* migration cost in quorum accesses is exactly 1 copy op per written key
+  (the copy derives its version from its own read phase, so the separate
+  version-discovery round a client write pays is skipped);
+* the per-key message cost is about (old read cost + new write cost);
+* values survive round trips between extreme shapes.
+
 Run directly::
 
     PYTHONPATH=src python benchmarks/bench_reconfig.py [--smoke] [--out P]
@@ -46,9 +59,13 @@ except ImportError:  # direct `python benchmarks/bench_reconfig.py`
     sys.path.insert(0, str(Path(__file__).parent))
     from perf_harness import write_bench_json
 
+from repro.analysis.tables import format_table
+from repro.core import analyse, mostly_read, mostly_write, recommended_tree
 from repro.core.builder import from_spec
 from repro.runner.tasks import SimParams, build_sim_config
-from repro.sim.engine import SimulationConfig, simulate
+from repro.sim.coordinator import QuorumCoordinator
+from repro.sim.engine import SimulationConfig, build_simulation, simulate
+from repro.sim.reconfigure import TreeReconfigurer
 from repro.sim.workload import WorkloadSpec
 
 SPEC = "1-3-5"
@@ -207,6 +224,117 @@ def test_reconfig_perf_smoke(emit):
         f"{summary['total_invariant_violations']} violations",
     )
     assert summary["total_invariant_violations"] == 0
+
+
+# ----------------------------------------------------------------------
+# migration cost (quiescent state transfer)
+# ----------------------------------------------------------------------
+
+
+class _Driver:
+    def __init__(self, tree, seed=0):
+        config = SimulationConfig(tree=tree, seed=seed)
+        (self.scheduler, _w, self.monitor,
+         self.network, self.sites) = build_simulation(config)
+        self.coordinator: QuorumCoordinator = self.network.endpoint(-1)
+        self.reconfigurer = TreeReconfigurer(self.coordinator)
+
+    def call(self, op):
+        box = []
+        op(box.append)
+        while not box:
+            self.scheduler.step()
+        return box[0]
+
+
+def _migrate(n: int, keys: int):
+    """Populate `keys` keys on recommended_tree(n), migrate to MOSTLY-READ."""
+    old_tree = recommended_tree(n)
+    driver = _Driver(old_tree)
+    for i in range(keys):
+        outcome = driver.call(
+            lambda cb, i=i: driver.coordinator.write(f"k{i}", i, cb)
+        )
+        assert outcome.success
+    messages_before = driver.network.stats.sent
+    result = driver.call(
+        lambda cb: driver.reconfigurer.reconfigure(
+            mostly_read(n), [f"k{i}" for i in range(keys)], cb
+        )
+    )
+    messages = driver.network.stats.sent - messages_before
+    return driver, result, messages, old_tree
+
+
+def test_reconfiguration_cost_table(emit, benchmark):
+    rows = []
+    for n in (9, 16, 36, 64):
+        for keys in (4, 16):
+            _driver, result, messages, old_tree = _migrate(n, keys)
+            assert result.success
+            rows.append([
+                n, old_tree.spec()[:20], keys,
+                result.operations_used, messages,
+                round(messages / keys, 1), round(result.duration, 0),
+            ])
+    emit(
+        "reconfiguration_cost",
+        format_table(
+            ["n", "old tree", "keys", "quorum ops", "messages",
+             "msgs/key", "sim time"],
+            rows,
+            title="State-transfer migration to MOSTLY-READ",
+        ),
+    )
+    benchmark(_migrate, 9, 4)
+
+
+def test_one_copy_op_per_key(benchmark):
+    _driver, result, _messages, _old = _migrate(16, 8)
+    assert result.operations_used == 8  # one atomic copy per key
+    benchmark(lambda: result)
+
+
+def test_message_cost_tracks_quorum_sizes(benchmark):
+    n, keys = 36, 8
+    _driver, result, messages, old_tree = _migrate(n, keys)
+    old = analyse(old_tree)
+    # per key: read quorum round trip (2 msgs/member) + 2PC to the new
+    # write quorum (n members for MOSTLY-READ: prepare/vote/commit/ack plus
+    # the version round against the old tree)
+    per_key = messages / keys
+    lower = 2 * old.read_cost + 4 * n
+    upper = lower + 2 * old.read_cost + 8
+    assert lower <= per_key <= upper, (per_key, lower, upper)
+    benchmark(lambda: messages)
+
+
+def test_round_trip_preserves_values(benchmark):
+    def run():
+        n = 9
+        driver = _Driver(recommended_tree(n))
+        expected = {}
+        for i in range(6):
+            key = f"k{i}"
+            driver.call(
+                lambda cb, k=key, v=i * 7: driver.coordinator.write(k, v, cb)
+            )
+            expected[key] = i * 7
+        for target in (mostly_write(n), mostly_read(n), recommended_tree(n)):
+            outcome = driver.call(
+                lambda cb, t=target: driver.reconfigurer.reconfigure(
+                    t, list(expected), cb
+                )
+            )
+            assert outcome.success
+        for key, value in expected.items():
+            result = driver.call(
+                lambda cb, k=key: driver.coordinator.read(k, cb)
+            )
+            assert result.success and result.value == value
+        return len(expected)
+
+    assert benchmark(run) == 6
 
 
 if __name__ == "__main__":

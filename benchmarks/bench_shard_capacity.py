@@ -43,11 +43,7 @@ except ImportError:  # direct `python benchmarks/bench_shard_capacity.py`
     sys.path.insert(0, str(Path(__file__).parent))
     from perf_harness import write_bench_json
 
-from repro.runner import (
-    ShardParams,
-    merge_sharded_monitors,
-    parallel_shard_simulations,
-)
+from repro.runner import merge_sharded_monitors, parallel_shard_simulations
 from repro.shard import ShardedConfig, simulate_sharded
 from repro.sim import WorkloadSpec
 
@@ -166,24 +162,28 @@ def hot_key_point(leases: bool, smoke: bool) -> dict:
 
 def jobs_bit_identity(smoke: bool) -> dict:
     """Serial vs ``--jobs 2`` repeated-seed sharded fan-out must agree."""
-    params = ShardParams(
+    config = ShardedConfig(
+        workload=WorkloadSpec(
+            operations=300 if smoke else 1000,
+            keys=4096,
+            arrival="poisson",
+            rate=1.0,
+            zipf_s=1.0,
+        ),
         shards=4,
-        operations=300 if smoke else 1000,
-        keys=4096,
-        zipf_s=1.0,
-        rate=1.0,
         p=0.9,
+        timeout=8.0,
         seed=77,
     )
     repeats = 3
     started = time.perf_counter()
     serial = merge_sharded_monitors(
-        parallel_shard_simulations(params, repeats, jobs=1)
+        parallel_shard_simulations(config, repeats, jobs=1)
     )
     serial_seconds = time.perf_counter() - started
     started = time.perf_counter()
     fanned = merge_sharded_monitors(
-        parallel_shard_simulations(params, repeats, jobs=2)
+        parallel_shard_simulations(config, repeats, jobs=2)
     )
     fanned_seconds = time.perf_counter() - started
     identical = (

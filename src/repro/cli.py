@@ -43,6 +43,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from collections.abc import Sequence
 
@@ -224,13 +225,15 @@ def _print_tuning(n: int, p: float, read_fraction: float) -> None:
     ))
 
 
-def _retry_policy_spec(kind: str | None, backoff: str | None):
+def _retry_policy_spec(args):
     """Build a :class:`RetryPolicySpec` from --retry-policy / --backoff.
 
     ``--backoff`` takes ``key=value`` pairs (``base``, ``factor``, ``cap``,
     ``jitter``), comma-separated; giving it without ``--retry-policy``
     implies the exponential policy.
     """
+    kind = getattr(args, "retry_policy", None)
+    backoff = getattr(args, "backoff", None)
     if kind is None and backoff is None:
         return None
     from repro.fault.retry import RetryPolicySpec
@@ -248,89 +251,73 @@ def _retry_policy_spec(kind: str | None, backoff: str | None):
             name, sep, value = part.partition("=")
             name = name.strip()
             if not sep or name not in fields:
-                raise SystemExit(
+                raise ValueError(
                     f"invalid --backoff component {part!r}: expected "
                     "key=value with key in base/factor/cap/jitter"
                 )
-            fields[name] = float(value)
+            try:
+                fields[name] = float(value)
+            except ValueError:
+                raise ValueError(
+                    f"invalid --backoff value {part!r}: {value!r} is not "
+                    "a number"
+                ) from None
     return RetryPolicySpec(kind=kind, **fields)
 
 
-def _sim_config(spec: str, operations: int, read_fraction: float,
-                p: float, seed: int, protocol: str | None = None,
-                n: int = 0, drop: float = 0.0, max_attempts: int = 1,
-                trace: bool = False, retry_policy=None,
-                detector: bool = False, batch_window: float = 0.0,
-                leases: bool = False, reshape_at: float = 0.0,
-                reshape_spec: str | None = None,
-                reshape_online: bool = True):
-    """Build the (config, label) pair shared by simulate/trace/report.
+def _from_args(cls, args, **overrides):
+    """A ``cls`` dataclass built from the parsed options named after its fields.
 
-    Delegates to :func:`repro.runner.tasks.build_sim_config` — the single
-    source of the simulation defaults — so CLI runs and parallel-runner
-    workers build identical configurations.
+    Every option whose ``dest`` is a field of ``cls`` fills that field;
+    ``overrides`` supply the fields that need translating first.
+    """
+    names = {field.name for field in dataclasses.fields(cls)}
+    values = {name: value for name, value in vars(args).items()
+              if name in names}
+    return cls(**{**values, **overrides})
+
+
+def _sim_config(args) -> tuple:
+    """``(params, config, label)`` for a simulation subcommand's options.
+
+    The options parse straight into :class:`~repro.runner.SimParams`
+    fields; :func:`~repro.runner.tasks.build_sim_config` — the single
+    source of the simulation defaults — turns the record into the config
+    that CLI runs and parallel-runner workers both simulate.
     """
     from repro.runner.tasks import SimParams, build_sim_config
 
-    return build_sim_config(SimParams(
-        spec=spec, operations=operations, read_fraction=read_fraction,
-        p=p, seed=seed, protocol=protocol, n=n, drop=drop,
-        max_attempts=max_attempts, trace=trace,
-        retry_policy=retry_policy, detector=detector,
-        batch_window=batch_window, leases=leases,
-        reshape_at=reshape_at, reshape_spec=reshape_spec,
-        reshape_online=reshape_online,
-    ))
+    params = _from_args(SimParams, args, retry_policy=_retry_policy_spec(args))
+    return (params, *build_sim_config(params))
 
 
-def _print_simulation(spec: str, operations: int, read_fraction: float,
-                      p: float, seed: int, protocol: str | None = None,
-                      n: int = 0, repeats: int = 1, jobs: int = 1,
-                      retry_policy=None, detector: bool = False,
-                      batch_window: float = 0.0,
-                      leases: bool = False, reshape_at: float = 0.0,
-                      reshape_spec: str | None = None,
-                      reshape_online: bool = True) -> None:
+def _print_simulation(args, params, config, label) -> None:
+    """``repro simulate``: measured quantities against the closed forms."""
     from repro.sim import simulate
 
-    config, label = _sim_config(
-        spec, operations, read_fraction, p, seed, protocol=protocol, n=n,
-        retry_policy=retry_policy, detector=detector,
-        batch_window=batch_window, leases=leases,
-        reshape_at=reshape_at, reshape_spec=reshape_spec,
-        reshape_online=reshape_online,
-    )
     reconfiguration = None
-    if repeats > 1:
+    if args.repeats > 1:
         from repro.runner import (
             ProgressPrinter,
-            SimParams,
             merge_monitors,
             parallel_simulations,
         )
 
         monitors = parallel_simulations(
-            SimParams(
-                spec=spec, operations=operations,
-                read_fraction=read_fraction, p=p, seed=seed,
-                protocol=protocol, n=n,
-                retry_policy=retry_policy, detector=detector,
-                batch_window=batch_window, leases=leases,
-                reshape_at=reshape_at, reshape_spec=reshape_spec,
-                reshape_online=reshape_online,
-            ),
-            repeats, jobs=jobs,
-            progress=ProgressPrinter("simulate") if jobs > 1 else None,
+            params, args.repeats, jobs=args.jobs,
+            progress=ProgressPrinter("simulate") if args.jobs > 1 else None,
         )
         summary = merge_monitors(monitors).summary()
         messages: object = "-"
-        run_title = (f"{label}: {operations} ops x {repeats} repeats, "
-                     f"p = {p}, master seed {seed}, jobs {jobs}")
+        run_title = (f"{label}: {args.operations} ops x {args.repeats} "
+                     f"repeats, p = {args.p}, master seed {args.seed}, "
+                     f"jobs {args.jobs}")
     else:
         result = simulate(config)
         summary = result.summary()
         messages = int(summary["messages_sent"])
-        run_title = f"{label}: {operations} ops, p = {p}, seed {seed}"
+        run_title = (f"{label}: {args.operations} ops, p = {args.p}, "
+                     f"seed {args.seed}")
         if result.reconfiguration is not None:
             availability = result.window_read_availability(
                 result.reconfiguration.started_at,
@@ -338,8 +325,8 @@ def _print_simulation(spec: str, operations: int, read_fraction: float,
             )
             reconfiguration = (result.reconfiguration, availability)
     rows: list[list] = []
-    if protocol is None or protocol == "arbitrary-spec":
-        metrics = analyse(config.tree, p=min(p, 1.0))
+    if config.system is None:
+        metrics = analyse(config.tree, p=args.p)
         rows = [
             ["read cost", round(summary["read_cost"], 3), metrics.read_cost],
             ["write cost", round(summary["write_cost"], 3),
@@ -361,7 +348,6 @@ def _print_simulation(spec: str, operations: int, read_fraction: float,
         ]
     else:
         system = config.system
-        assert system is not None
         rows = [
             ["read cost", round(summary["read_cost"], 3), "-"],
             ["write cost", round(summary["write_cost"], 3), "-"],
@@ -371,9 +357,9 @@ def _print_simulation(spec: str, operations: int, read_fraction: float,
             ["write load", round(summary["write_load"], 3),
              round(system.load("write"), 3)],
             ["read availability", round(summary["read_availability"], 3),
-             round(system.availability(min(p, 1.0), "read"), 3)],
+             round(system.availability(args.p, "read"), 3)],
             ["write availability", round(summary["write_availability"], 3),
-             round(system.availability(min(p, 1.0), "write"), 3)],
+             round(system.availability(args.p, "write"), 3)],
             ["messages", messages, "-"],
         ]
     print(format_table(
@@ -395,46 +381,37 @@ def _print_simulation(spec: str, operations: int, read_fraction: float,
         )
 
 
-def _shard_params(args):
-    """Build the :class:`ShardParams` record a ``shard`` invocation describes."""
-    from repro.runner import ShardParams
+def _sharded_config(args):
+    """The :class:`~repro.shard.ShardedConfig` a ``shard`` invocation describes.
+
+    ``timeout`` and Poisson arrivals are the ``shard`` subcommand's own
+    defaults; they differ from the :class:`ShardedConfig` and
+    :class:`~repro.sim.WorkloadSpec` ones.
+    """
+    from repro.shard import ShardedConfig
+    from repro.sim import WorkloadSpec
 
     if args.protocol is None or args.protocol == "arbitrary-spec":
         ref = ("tree", args.spec)
     else:
         ref = ("protocol", args.protocol, args.n or 16)
-    return ShardParams(
-        shards=args.shards,
+    return _from_args(
+        ShardedConfig, args,
+        workload=_from_args(WorkloadSpec, args, arrival="poisson"),
         systems=(ref,),
-        operations=args.operations,
-        read_fraction=args.read_fraction,
-        keys=args.keys,
-        zipf_s=args.zipf,
-        rate=args.rate,
-        diurnal_period=args.diurnal_period,
-        diurnal_amplitude=args.diurnal_amplitude,
-        router=args.router,
-        router_seed=args.router_seed,
-        balancer=args.balancer,
-        clients_per_shard=args.clients_per_shard,
-        p=args.p,
-        regions=args.regions,
-        drop=args.drop,
-        service_time=args.service_time,
-        seed=args.seed,
-        retry_policy=_retry_policy_spec(args.retry_policy, args.backoff),
-        detector=args.detector,
-        batch_window=args.batch_window,
-        leases=args.leases,
+        drop_probability=args.drop,
+        timeout=8.0,
+        retry_policy=_retry_policy_spec(args),
     )
 
 
-def _print_shard(args) -> None:
+def _print_shard(args, config) -> None:
     """``repro shard``: a sharded keyspace run with per-shard breakdown."""
-    from repro.runner import build_sharded_config
-
-    params = _shard_params(args)
-    config, label = build_sharded_config(params)
+    names = ", ".join(
+        "/".join(str(part) for part in ref[1:]) for ref in config.systems
+    )
+    label = (f"sharded simulation: {config.shards} shards of {names} "
+             f"({config.router} router, {config.workload.keys} keys)")
     if args.repeats > 1:
         from repro.runner import (
             ProgressPrinter,
@@ -443,7 +420,7 @@ def _print_shard(args) -> None:
         )
 
         monitor = merge_sharded_monitors(parallel_shard_simulations(
-            params, args.repeats, jobs=args.jobs,
+            config, args.repeats, jobs=args.jobs,
             progress=ProgressPrinter("shard") if args.jobs > 1 else None,
         ))
         summary = monitor.summary()
@@ -490,20 +467,10 @@ def _print_shard(args) -> None:
     ))
 
 
-def _print_chaos(args) -> None:
+def _print_chaos(args, params, config, label) -> None:
     """``repro chaos``: a scenario run with the invariant checker armed."""
-    from repro.runner.tasks import SimParams, build_sim_config
     from repro.sim import simulate
 
-    params = SimParams(
-        spec=args.spec, operations=args.operations,
-        read_fraction=args.read_fraction, p=args.p, seed=args.seed,
-        protocol=args.protocol, n=args.n, max_attempts=args.max_attempts,
-        retry_policy=_retry_policy_spec(args.retry_policy, args.backoff),
-        detector=args.detector, chaos=args.scenario,
-        chaos_horizon=args.horizon, check_invariants=True,
-        batch_window=args.batch_window, leases=args.leases,
-    )
     if args.repeats > 1:
         from repro.runner import (
             ProgressPrinter,
@@ -516,12 +483,10 @@ def _print_chaos(args) -> None:
             progress=ProgressPrinter("chaos") if args.jobs > 1 else None,
         )
         summary = merge_monitors(monitors).summary()
-        _, label = build_sim_config(params)
         title = (f"{label}: {args.operations} ops x {args.repeats} repeats, "
                  f"master seed {args.seed}, jobs {args.jobs}")
         extra_rows: list[list] = []
     else:
-        config, label = build_sim_config(params)
         result = simulate(config)
         summary = result.summary()
         title = f"{label}: {args.operations} ops, seed {args.seed}"
@@ -547,23 +512,10 @@ def _print_chaos(args) -> None:
     print(format_table(["quantity", "value"], rows, title=title))
 
 
-def _print_reconfigure(args) -> None:
+def _print_reconfigure(args, params, config, label) -> None:
     """``repro reconfigure``: a mid-run tree change with invariants armed."""
-    from repro.runner.tasks import SimParams, build_sim_config
     from repro.sim import simulate
 
-    params = SimParams(
-        spec=args.spec, operations=args.operations,
-        read_fraction=args.read_fraction, p=args.p, seed=args.seed,
-        max_attempts=args.max_attempts,
-        retry_policy=_retry_policy_spec(args.retry_policy, args.backoff),
-        detector=args.detector, chaos=args.scenario,
-        chaos_horizon=args.horizon, check_invariants=True,
-        batch_window=args.batch_window, leases=args.leases,
-        reshape_at=args.at, reshape_spec=args.target,
-        reshape_online=not args.stop_the_world,
-    )
-    config, label = build_sim_config(params)
     result = simulate(config)
     outcome = result.reconfiguration
     checker = result.invariants
@@ -590,29 +542,19 @@ def _print_reconfigure(args) -> None:
     ]
     print(format_table(
         ["quantity", "value"], rows,
-        title=f"{label}: reconfigure at t = {args.at:g}, seed {args.seed}",
+        title=f"{label}: reconfigure at t = {args.reshape_at:g}, "
+              f"seed {args.seed}",
     ))
     for violation in checker.violations[:5]:
         print(f"  VIOLATION: {violation}")
 
 
-def _run_traced(args) -> tuple:
-    """Run one traced simulation from trace/report CLI arguments."""
-    from repro.sim import simulate
-
-    config, label = _sim_config(
-        args.spec, args.operations, args.read_fraction, args.p, args.seed,
-        protocol=args.protocol, n=args.n, drop=args.drop,
-        max_attempts=args.max_attempts, trace=True,
-    )
-    return simulate(config), label
-
-
-def _print_trace(args) -> None:
+def _print_trace(args, params, config, label) -> None:
     """``repro trace``: run a traced simulation, export JSON Lines."""
     from repro.obs import export_trace
+    from repro.sim import simulate
 
-    result, label = _run_traced(args)
+    result = simulate(config)
     recorder = result.recorder
     path = export_trace(recorder, args.out)
     traces = recorder.traces()
@@ -626,7 +568,7 @@ def _print_trace(args) -> None:
         print(f"WARNING: {len(open_spans)} spans never finished")
 
 
-def _print_report(args) -> None:
+def _print_report(args, params, config, label) -> None:
     """``repro report``: per-phase breakdown + flame summary + counters."""
     from repro.obs import (
         flame_summary,
@@ -636,12 +578,13 @@ def _print_report(args) -> None:
         render_phase_breakdown,
         summaries_of,
     )
+    from repro.sim import simulate
 
     if args.trace_file is not None:
         recorder = load_trace(args.trace_file)
         print(f"trace report for {args.trace_file}")
     else:
-        result, label = _run_traced(args)
+        result = simulate(config)
         recorder = result.recorder
         summary = result.summary()
         print(f"{label}: {args.operations} ops, p = {args.p}, "
@@ -723,79 +666,176 @@ def _print_profile(args) -> None:
         print(report.phase_breakdown)
 
 
-def _add_fault_arguments(parser) -> None:
-    """Fault-layer options shared by ``simulate`` and ``chaos``."""
-    parser.add_argument(
-        "--retry-policy", choices=("fixed", "exponential"), default=None,
-        help="coordinator retry-delay schedule (default: legacy immediate "
-             "retry)",
-    )
-    parser.add_argument(
-        "--backoff", default=None, metavar="KEY=VALUE[,...]",
-        help="backoff parameters (base/factor/cap/jitter), e.g. "
-             "'base=1,factor=2,cap=30,jitter=0.2'; implies "
-             "--retry-policy exponential",
-    )
-    parser.add_argument(
-        "--detector", action="store_true",
-        help="attach the suspicion-based failure detector so quorum "
-             "selection avoids suspected sites",
-    )
-    parser.add_argument(
-        "--batch-window", type=float, default=0.0, metavar="W",
-        help="coordinator batching window in simulated time units: "
-             "operations arriving within W of the first are coalesced "
-             "per key — same-key reads share one quorum read, batched "
-             "writes skip redundant version rounds (0 = off, the "
-             "legacy per-operation path)",
-    )
-    parser.add_argument(
-        "--leases", action="store_true",
-        help="cache read results per key as leases: repeat reads of a "
-             "hot key are served without quorum traffic until a "
-             "conflicting write or a liveness-epoch change revokes "
-             "the lease",
-    )
+#: The fault-layer options every simulation subcommand takes.
+_FAULT_OPTIONS = " --retry-policy --backoff --detector --batch-window --leases"
+
+#: The options ``trace`` and ``report`` share.
+_TRACE_OPTIONS = (
+    "spec --operations --read-fraction --p --drop --max-attempts --seed "
+    "--protocol --n"
+)
 
 
-def _add_reshape_arguments(parser) -> None:
-    """Mid-run reconfiguration options for ``simulate``."""
-    parser.add_argument(
-        "--reshape-at", type=float, default=0.0, metavar="T",
-        help="launch a tree reconfiguration at simulated time T "
-             "(0 = off, the legacy fixed-tree path)",
-    )
-    parser.add_argument(
-        "--reshape-spec", default=None, metavar="SPEC",
-        help="target tree spec for --reshape-at (default: a fault-aware "
-             "plan from the tuning advisor and detector evidence)",
-    )
-    parser.add_argument(
-        "--reshape-stop-the-world", action="store_true",
-        help="use the quiescent stop-the-world migration instead of the "
-             "epoch-based online transition",
-    )
+def _simulation_options() -> dict[str, dict]:
+    """Every simulation option, declared once: name -> ``add_argument`` kwargs.
 
-
-def _add_trace_sim_arguments(parser) -> None:
-    """Simulation options shared by ``trace`` and ``report``."""
+    ``simulate``, ``shard``, ``chaos``, ``reconfigure``, ``trace`` and
+    ``report`` pick their options from here (see :func:`_add_options`).
+    Each option's ``dest`` is the field it sets — of
+    :class:`~repro.runner.SimParams`, or for ``shard`` of
+    :class:`~repro.shard.ShardedConfig` and its
+    :class:`~repro.sim.WorkloadSpec` — so :func:`_from_args` builds those
+    records without a per-option mapping.  A subcommand whose default
+    differs sets it with ``set_defaults``.
+    """
+    from repro.fault.scenarios import CHAOS_SCENARIOS
     from repro.protocols.zoo import PROTOCOL_NAMES
+    from repro.shard import BALANCER_POLICIES, ROUTER_KINDS
 
-    parser.add_argument("spec", nargs="?", default="1-3-5")
-    parser.add_argument("--operations", type=int, default=500)
-    parser.add_argument("--read-fraction", type=float, default=0.5)
-    parser.add_argument("--p", type=float, default=1.0,
-                        help="per-replica availability (1.0 = no failures)")
-    parser.add_argument("--drop", type=float, default=0.0,
-                        help="message drop probability in [0, 1]")
-    parser.add_argument("--max-attempts", type=int, default=3)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--protocol", choices=PROTOCOL_NAMES, default=None,
-        help="simulate a zoo protocol instead of an explicit tree spec",
-    )
-    parser.add_argument("--n", type=int, default=0,
-                        help="replica count for --protocol")
+    return {
+        "spec": dict(nargs="?", default="1-3-5"),
+        "--operations": dict(type=int, default=2000),
+        "--read-fraction": dict(type=float, default=0.5),
+        "--p": dict(type=float, default=1.0,
+                    help="per-replica availability (1.0 = no failures)"),
+        "--seed": dict(type=int, default=0),
+        "--protocol": dict(
+            choices=PROTOCOL_NAMES, default=None,
+            help="simulate a zoo protocol instead of an explicit tree spec",
+        ),
+        "--n": dict(type=int, default=0, help="replica count for --protocol"),
+        "--max-attempts": dict(type=int, default=3),
+        "--drop": dict(type=float, default=0.0,
+                       help="message drop probability in [0, 1]"),
+        "--repeats": dict(
+            type=int, default=1,
+            help="independently seeded repeats (merged measurements "
+                 "reported)",
+        ),
+        "--jobs": dict(type=int, default=1,
+                       help="worker processes to fan repeats across"),
+        "--scenario": dict(
+            dest="chaos", choices=CHAOS_SCENARIOS + ("all",), default=None,
+            help="which failure scenario to inject",
+        ),
+        "--horizon": dict(
+            dest="chaos_horizon", metavar="HORIZON", type=float,
+            default=1000.0,
+            help="simulated time the scenario keeps injecting failures for",
+        ),
+        "--retry-policy": dict(
+            choices=("fixed", "exponential"), default=None,
+            help="coordinator retry-delay schedule (default: legacy "
+                 "immediate retry)",
+        ),
+        "--backoff": dict(
+            default=None, metavar="KEY=VALUE[,...]",
+            help="backoff parameters (base/factor/cap/jitter), e.g. "
+                 "'base=1,factor=2,cap=30,jitter=0.2'; implies "
+                 "--retry-policy exponential",
+        ),
+        "--detector": dict(
+            action="store_true",
+            help="attach the suspicion-based failure detector so quorum "
+                 "selection avoids suspected sites",
+        ),
+        "--batch-window": dict(
+            type=float, default=0.0, metavar="W",
+            help="coordinator batching window in simulated time units: "
+                 "operations arriving within W of the first are coalesced "
+                 "per key — same-key reads share one quorum read, batched "
+                 "writes skip redundant version rounds (0 = off, the "
+                 "legacy per-operation path)",
+        ),
+        "--leases": dict(
+            action="store_true",
+            help="cache read results per key as leases: repeat reads of a "
+                 "hot key are served without quorum traffic until a "
+                 "conflicting write or a liveness-epoch change revokes "
+                 "the lease",
+        ),
+        # Mid-run reconfiguration: ``simulate`` spells it --reshape-*,
+        # ``reconfigure`` --at/--target/--stop-the-world.
+        "--reshape-at": dict(
+            type=float, default=0.0, metavar="T",
+            help="launch a tree reconfiguration at simulated time T "
+                 "(0 = off, the legacy fixed-tree path)",
+        ),
+        "--reshape-spec": dict(
+            default=None, metavar="SPEC",
+            help="target tree spec for --reshape-at (default: a "
+                 "fault-aware plan from the tuning advisor and detector "
+                 "evidence)",
+        ),
+        "--reshape-stop-the-world": dict(
+            action="store_false", dest="reshape_online",
+            help="use the quiescent stop-the-world migration instead of "
+                 "the epoch-based online transition",
+        ),
+        "--at": dict(
+            dest="reshape_at", type=float, default=200.0, metavar="T",
+            help="simulated time at which the reconfiguration launches",
+        ),
+        "--target": dict(
+            dest="reshape_spec", default=None, metavar="SPEC",
+            help="target tree spec (default: a fault-aware plan from the "
+                 "tuning advisor and detector evidence)",
+        ),
+        "--stop-the-world": dict(
+            action="store_false", dest="reshape_online",
+            help="use the legacy quiescent migration (pauses all "
+                 "coordinators) instead of the online epoch transition",
+        ),
+        # The sharded keyspace (``shard`` only).
+        "--shards": dict(type=int, default=4),
+        "--keys": dict(type=int, default=1024,
+                       help="global keyspace size the router partitions"),
+        "--zipf": dict(dest="zipf_s", metavar="ZIPF", type=float,
+                       default=0.0,
+                       help="Zipf skew of key popularity (0 = uniform)"),
+        "--rate": dict(
+            type=float, default=0.25,
+            help="aggregate Poisson arrival rate (ops per time unit)",
+        ),
+        "--diurnal-period": dict(
+            type=float, default=0.0,
+            help="diurnal cycle length in simulated time units (0 = "
+                 "constant rate)",
+        ),
+        "--diurnal-amplitude": dict(
+            type=float, default=0.0, help="relative diurnal swing in [0, 1]",
+        ),
+        "--router": dict(choices=ROUTER_KINDS, default="hash",
+                         help="keyspace partitioning scheme"),
+        "--router-seed": dict(type=int, default=0,
+                              help="hash-placement seed"),
+        "--balancer": dict(choices=BALANCER_POLICIES, default="round-robin",
+                           help="per-shard coordinator-pool policy"),
+        "--clients-per-shard": dict(type=int, default=1),
+        "--regions": dict(
+            type=int, default=0,
+            help="spread each shard's replicas over this many latency "
+                 "regions (0 = uniform latency)",
+        ),
+        "--service-time": dict(
+            type=float, default=0.0,
+            help="per-message replica processing time (adds queueing)",
+        ),
+    }
+
+
+def _add_options(parser, table: dict, options: str, **helps: str) -> None:
+    """Declare ``options`` (names in ``table``) on ``parser``, in order.
+
+    ``helps`` replaces an option's help text, keyed by its name without
+    the dashes (``p``, ``protocol``, ``read_fraction``).
+    """
+    for option in options.split():
+        kwargs = table[option]
+        key = option.lstrip("-").replace("-", "_")
+        if key in helps:
+            kwargs = {**kwargs, "help": helps[key]}
+        parser.add_argument(option, **kwargs)
 
 
 def _run_cluster(args) -> int:
@@ -924,10 +964,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=0,
         help="Monte-Carlo seed (pass -1 for fresh randomness)",
     )
-    from repro.protocols.zoo import PROTOCOL_NAMES as _ZOO
+    from repro.protocols.zoo import PROTOCOL_NAMES
 
     avail_parser.add_argument(
-        "--protocol", choices=_ZOO, default=None,
+        "--protocol", choices=PROTOCOL_NAMES, default=None,
         help="evaluate a zoo protocol instead of a tree spec",
     )
     avail_parser.add_argument(
@@ -944,199 +984,76 @@ def build_parser() -> argparse.ArgumentParser:
     tune_parser.add_argument("--p", type=float, default=0.9)
     tune_parser.add_argument("--read-fraction", type=float, default=0.5)
 
+    options = _simulation_options()
     sim_parser = sub.add_parser("simulate", help="run the simulator")
-    sim_parser.add_argument("spec", nargs="?", default="1-3-5")
-    sim_parser.add_argument("--operations", type=int, default=2000)
-    sim_parser.add_argument("--read-fraction", type=float, default=0.5)
-    sim_parser.add_argument("--p", type=float, default=1.0,
-                            help="per-replica availability (1.0 = no failures)")
-    sim_parser.add_argument("--seed", type=int, default=0)
-    from repro.protocols.zoo import PROTOCOL_NAMES
-
-    sim_parser.add_argument(
-        "--protocol", choices=PROTOCOL_NAMES, default=None,
-        help="simulate a zoo protocol instead of an explicit tree spec "
-             "(sized via --n, or to match the spec's replica count)",
+    _add_options(
+        sim_parser, options,
+        "spec --operations --read-fraction --p --seed --protocol --n "
+        "--repeats --jobs" + _FAULT_OPTIONS
+        + " --reshape-at --reshape-spec --reshape-stop-the-world",
+        protocol="simulate a zoo protocol instead of an explicit tree spec "
+                 "(sized via --n, or to match the spec's replica count)",
+        n="replica count for --protocol (snapped to an admissible size)",
     )
-    sim_parser.add_argument(
-        "--n", type=int, default=0,
-        help="replica count for --protocol (snapped to an admissible size)",
-    )
-    sim_parser.add_argument(
-        "--repeats", type=int, default=1,
-        help="independently seeded repeats (merged measurements reported)",
-    )
-    sim_parser.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes to fan repeats across",
-    )
-    _add_fault_arguments(sim_parser)
-    _add_reshape_arguments(sim_parser)
-
-    from repro.shard import BALANCER_POLICIES, ROUTER_KINDS
 
     shard_parser = sub.add_parser(
         "shard",
         help="run a sharded multi-object keyspace over per-shard replica "
              "groups",
     )
-    shard_parser.add_argument(
-        "spec", nargs="?", default="1-3-5",
-        help="per-shard tree spec (every shard runs one replica group)",
+    _add_options(
+        shard_parser, options,
+        "spec --shards --protocol --n --operations --read-fraction --keys "
+        "--zipf --rate --diurnal-period --diurnal-amplitude --router "
+        "--router-seed --balancer --clients-per-shard --p --regions --drop "
+        "--service-time --seed --repeats --jobs" + _FAULT_OPTIONS,
+        spec="per-shard tree spec (every shard runs one replica group)",
+        protocol="run shards on a zoo protocol instead of a tree spec",
+        repeats="independently seeded repeats (merged shard-wise)",
     )
-    shard_parser.add_argument("--shards", type=int, default=4)
-    shard_parser.add_argument(
-        "--protocol", choices=PROTOCOL_NAMES, default=None,
-        help="run shards on a zoo protocol instead of a tree spec",
-    )
-    shard_parser.add_argument("--n", type=int, default=0,
-                              help="replica count for --protocol")
-    shard_parser.add_argument("--operations", type=int, default=2000)
-    shard_parser.add_argument("--read-fraction", type=float, default=0.5)
-    shard_parser.add_argument(
-        "--keys", type=int, default=1024,
-        help="global keyspace size the router partitions",
-    )
-    shard_parser.add_argument(
-        "--zipf", type=float, default=0.0,
-        help="Zipf skew of key popularity (0 = uniform)",
-    )
-    shard_parser.add_argument(
-        "--rate", type=float, default=0.25,
-        help="aggregate Poisson arrival rate (ops per time unit)",
-    )
-    shard_parser.add_argument(
-        "--diurnal-period", type=float, default=0.0,
-        help="diurnal cycle length in simulated time units (0 = constant "
-             "rate)",
-    )
-    shard_parser.add_argument(
-        "--diurnal-amplitude", type=float, default=0.0,
-        help="relative diurnal swing in [0, 1]",
-    )
-    shard_parser.add_argument(
-        "--router", choices=ROUTER_KINDS, default="hash",
-        help="keyspace partitioning scheme",
-    )
-    shard_parser.add_argument("--router-seed", type=int, default=0,
-                              help="hash-placement seed")
-    shard_parser.add_argument(
-        "--balancer", choices=BALANCER_POLICIES, default="round-robin",
-        help="per-shard coordinator-pool policy",
-    )
-    shard_parser.add_argument("--clients-per-shard", type=int, default=1)
-    shard_parser.add_argument(
-        "--p", type=float, default=1.0,
-        help="per-replica availability (1.0 = no failures)",
-    )
-    shard_parser.add_argument(
-        "--regions", type=int, default=0,
-        help="spread each shard's replicas over this many latency regions "
-             "(0 = uniform latency)",
-    )
-    shard_parser.add_argument("--drop", type=float, default=0.0,
-                              help="message drop probability in [0, 1]")
-    shard_parser.add_argument(
-        "--service-time", type=float, default=0.0,
-        help="per-message replica processing time (adds queueing)",
-    )
-    shard_parser.add_argument("--seed", type=int, default=0)
-    shard_parser.add_argument(
-        "--repeats", type=int, default=1,
-        help="independently seeded repeats (merged shard-wise)",
-    )
-    shard_parser.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes to fan repeats across",
-    )
-    _add_fault_arguments(shard_parser)
-
-    from repro.fault.scenarios import CHAOS_SCENARIOS
 
     chaos_parser = sub.add_parser(
         "chaos",
         help="run a chaos scenario with the safety invariant checker armed",
     )
-    chaos_parser.add_argument("spec", nargs="?", default="1-3-5")
-    chaos_parser.add_argument(
-        "--scenario", choices=CHAOS_SCENARIOS + ("all",), default="all",
-        help="which failure scenario to inject",
+    _add_options(
+        chaos_parser, options,
+        "spec --scenario --operations --read-fraction --p --seed "
+        "--max-attempts --horizon --protocol --n --repeats --jobs"
+        + _FAULT_OPTIONS,
+        p="per-replica Bernoulli availability composed under the chaos",
+        protocol="run the chaos against a zoo protocol instead of a tree spec",
     )
-    chaos_parser.add_argument("--operations", type=int, default=1000)
-    chaos_parser.add_argument("--read-fraction", type=float, default=0.5)
-    chaos_parser.add_argument(
-        "--p", type=float, default=1.0,
-        help="per-replica Bernoulli availability composed under the chaos",
+    chaos_parser.set_defaults(
+        chaos="all", operations=1000, max_attempts=4, check_invariants=True,
     )
-    chaos_parser.add_argument("--seed", type=int, default=0)
-    chaos_parser.add_argument("--max-attempts", type=int, default=4)
-    chaos_parser.add_argument(
-        "--horizon", type=float, default=1000.0,
-        help="simulated time the scenario keeps injecting failures for",
-    )
-    chaos_parser.add_argument(
-        "--protocol", choices=PROTOCOL_NAMES, default=None,
-        help="run the chaos against a zoo protocol instead of a tree spec",
-    )
-    chaos_parser.add_argument("--n", type=int, default=0,
-                              help="replica count for --protocol")
-    chaos_parser.add_argument(
-        "--repeats", type=int, default=1,
-        help="independently seeded repeats (merged measurements reported)",
-    )
-    chaos_parser.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes to fan repeats across",
-    )
-    _add_fault_arguments(chaos_parser)
 
     reconf_parser = sub.add_parser(
         "reconfigure",
         help="change the tree shape mid-run (online dual-quorum epoch "
              "transition, or --stop-the-world) with invariants armed",
     )
-    reconf_parser.add_argument("spec", nargs="?", default="1-3-5",
-                               help="initial tree spec")
-    reconf_parser.add_argument(
-        "--target", default=None, metavar="SPEC",
-        help="target tree spec (default: a fault-aware plan from the "
-             "tuning advisor and detector evidence)",
+    _add_options(
+        reconf_parser, options,
+        "spec --target --at --stop-the-world --operations --read-fraction "
+        "--p --seed --max-attempts --scenario --horizon" + _FAULT_OPTIONS,
+        spec="initial tree spec",
+        scenario="compose a chaos scenario under the reconfiguration",
+        horizon="simulated time the chaos scenario keeps injecting for",
     )
-    reconf_parser.add_argument(
-        "--at", type=float, default=200.0, metavar="T",
-        help="simulated time at which the reconfiguration launches",
+    reconf_parser.set_defaults(
+        operations=1000, max_attempts=4, check_invariants=True,
     )
-    reconf_parser.add_argument(
-        "--stop-the-world", action="store_true",
-        help="use the legacy quiescent migration (pauses all "
-             "coordinators) instead of the online epoch transition",
-    )
-    reconf_parser.add_argument("--operations", type=int, default=1000)
-    reconf_parser.add_argument("--read-fraction", type=float, default=0.5)
-    reconf_parser.add_argument(
-        "--p", type=float, default=1.0,
-        help="per-replica availability (1.0 = no failures)",
-    )
-    reconf_parser.add_argument("--seed", type=int, default=0)
-    reconf_parser.add_argument("--max-attempts", type=int, default=4)
-    reconf_parser.add_argument(
-        "--scenario", choices=CHAOS_SCENARIOS + ("all",), default=None,
-        help="compose a chaos scenario under the reconfiguration",
-    )
-    reconf_parser.add_argument(
-        "--horizon", type=float, default=1000.0,
-        help="simulated time the chaos scenario keeps injecting for",
-    )
-    _add_fault_arguments(reconf_parser)
 
     trace_parser = sub.add_parser(
         "trace", help="run a traced simulation and export JSONL spans"
     )
-    _add_trace_sim_arguments(trace_parser)
+    _add_options(trace_parser, options, _TRACE_OPTIONS)
     trace_parser.add_argument(
         "--out", default="trace.jsonl",
         help="output path for the JSON Lines trace",
     )
+    trace_parser.set_defaults(operations=500, trace=True)
 
     profile_parser = sub.add_parser(
         "profile",
@@ -1183,12 +1100,13 @@ def build_parser() -> argparse.ArgumentParser:
         "report",
         help="per-phase latency breakdown + flame summary of a traced run",
     )
-    _add_trace_sim_arguments(report_parser)
+    _add_options(report_parser, options, _TRACE_OPTIONS)
     report_parser.add_argument(
         "--trace-file", default=None,
         help="report on a previously exported JSONL trace instead of "
              "running a fresh simulation",
     )
+    report_parser.set_defaults(operations=500, trace=True)
 
     # Listed here for ``repro --help`` only: ``main`` hands ``serve`` and
     # everything after it to the site process's own parser.
@@ -1241,13 +1159,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Subcommands that run one simulation config built by :func:`_sim_config`.
+_SIMULATIONS = {
+    "simulate": _print_simulation,
+    "chaos": _print_chaos,
+    "reconfigure": _print_reconfigure,
+    "trace": _print_trace,
+    "report": _print_report,
+}
+
+
+def _build(parser, args, builder):
+    """``builder(args)``, with a ``ValueError`` reported as a usage error.
+
+    Options that parse but describe no valid run — ``--p 1.5``,
+    ``--read-fraction 1.5``, ``--backoff base=abc`` — exit with status 2
+    and one line on stderr, like any other argument error.  Only building
+    is guarded: an error raised while the simulation runs still surfaces
+    with its traceback.
+    """
+    try:
+        return builder(args)
+    except ValueError as exc:
+        parser.exit(2, f"{parser.prog} {args.command}: error: {exc}\n")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     if argv[:1] == ["serve"]:
         from repro.runtime.siteserver import main as serve_main
 
         return serve_main(argv[1:], prog="repro serve")
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.command == "example":
         _print_example()
     elif args.command in ("fig2", "fig3", "fig4"):
@@ -1271,29 +1215,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         )
     elif args.command == "tune":
         _print_tuning(args.n, args.p, args.read_fraction)
-    elif args.command == "simulate":
-        _print_simulation(
-            args.spec, args.operations, args.read_fraction, args.p, args.seed,
-            protocol=args.protocol, n=args.n, repeats=args.repeats,
-            jobs=args.jobs,
-            retry_policy=_retry_policy_spec(args.retry_policy, args.backoff),
-            detector=args.detector,
-            batch_window=args.batch_window, leases=args.leases,
-            reshape_at=args.reshape_at, reshape_spec=args.reshape_spec,
-            reshape_online=not args.reshape_stop_the_world,
-        )
     elif args.command == "shard":
-        _print_shard(args)
-    elif args.command == "chaos":
-        _print_chaos(args)
-    elif args.command == "reconfigure":
-        _print_reconfigure(args)
-    elif args.command == "trace":
-        _print_trace(args)
+        _print_shard(args, _build(parser, args, _sharded_config))
+    elif args.command in _SIMULATIONS:
+        _SIMULATIONS[args.command](args, *_build(parser, args, _sim_config))
     elif args.command == "profile":
         _print_profile(args)
-    elif args.command == "report":
-        _print_report(args)
     elif args.command == "cluster":
         return _run_cluster(args)
     elif args.command == "all":

@@ -147,7 +147,6 @@ class LocalCluster:
         timeout: float = 1.0,
         max_attempts: int = 4,
         seed: int = 0,
-        service_time: float = 0.0,
     ) -> None:
         self.spec = spec
         self.tree = from_spec(spec)
@@ -157,7 +156,6 @@ class LocalCluster:
         self.timeout = timeout
         self.max_attempts = max_attempts
         self.seed = seed
-        self.service_time = service_time
         self.sites: list[SiteProcess] = []
         self.transport: TcpTransport | None = None
         self.coordinator: QuorumCoordinator | None = None

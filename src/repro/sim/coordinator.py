@@ -660,18 +660,6 @@ class QuorumCoordinator:
         """The transport-seam clock this coordinator times against."""
         return self._clock
 
-    @property
-    def scheduler(self) -> "Clock":
-        """Legacy alias for :attr:`clock`.
-
-        On the simulator backend this is the event scheduler (the sim's
-        clock and delivery engine are one object), which is what existing
-        callers — reconfiguration, the engine — expect.  They only use
-        the :class:`~repro.runtime.interfaces.Clock` surface, so the
-        alias is exact on both backends.
-        """
-        return self._clock
-
     # ------------------------------------------------------------------
     # public operations
     # ------------------------------------------------------------------
@@ -706,20 +694,15 @@ class QuorumCoordinator:
                 _BatchedOp("read", key, None, on_done, submitted_at)
             )
             return
-        self.read_now(key, on_done, started_at=submitted_at)
+        self._read(key, on_done, submitted_at)
 
-    def read_now(
-        self,
-        key: Any,
-        on_done: DoneCallback,
-        started_at: float | None = None,
-    ) -> None:
+    def _read(self, key: Any, on_done: DoneCallback, started_at: float) -> None:
         """The immediate read pipeline: no pause gate, no lease, no batch.
 
-        Reconfiguration state transfer uses this directly so migration
-        reads run during the pause (legacy mode) and never sit in a
-        batching window; ``started_at`` preserves a deferred submission's
-        original time so latency/availability stay honestly measured.
+        :meth:`_submit_read` lands here once the gate, lease cache and
+        batching window have passed the read through; ``started_at`` is
+        the original submission time (a deferred or lease-missed read
+        keeps it), so latency and availability stay honestly measured.
         """
         self._in_flight += 1
         ctx = _OpContext(
@@ -727,9 +710,7 @@ class QuorumCoordinator:
             key=key,
             on_done=on_done,
             lock_token=self._tx_ids.next_id(),
-            started_at=(
-                self._clock.now if started_at is None else started_at
-            ),
+            started_at=started_at,
             stage=_Stage.READ,
         )
         if self._trace_enabled:
@@ -758,9 +739,7 @@ class QuorumCoordinator:
                 _BatchedOp("write", key, value, on_done, submitted_at)
             )
             return
-        self._write(
-            key, value, on_done, write_system=None, started_at=submitted_at
-        )
+        self._write(key, value, on_done, submitted_at)
 
     # ------------------------------------------------------------------
     # reconfiguration pause gate
@@ -838,29 +817,8 @@ class QuorumCoordinator:
             partial(self._lock_decided, ctx),
         )
 
-    def write_with_system(
-        self,
-        key: Any,
-        value: Any,
-        system: QuorumSystem,
-        on_done: DoneCallback,
-    ) -> None:
-        """A write whose *write quorum* comes from a different quorum system.
-
-        Versions are still obtained through the current system's read
-        quorums (which intersect every past write), while the data lands on
-        the override system's write quorum — the primitive tree
-        reconfiguration needs for state transfer.
-        """
-        self._write(key, value, on_done, write_system=system)
-
     def _write(
-        self,
-        key: Any,
-        value: Any,
-        on_done: DoneCallback,
-        write_system: QuorumSystem | None,
-        started_at: float | None = None,
+        self, key: Any, value: Any, on_done: DoneCallback, started_at: float
     ) -> None:
         self._in_flight += 1
         ctx = _OpContext(
@@ -869,11 +827,8 @@ class QuorumCoordinator:
             value=value,
             on_done=on_done,
             lock_token=self._tx_ids.next_id(),
-            started_at=(
-                self._clock.now if started_at is None else started_at
-            ),
+            started_at=started_at,
             stage=_Stage.VERSION,
-            write_system=write_system,
         )
         if self._trace_enabled:
             self._trace_operation_start(ctx, LockMode.EXCLUSIVE)

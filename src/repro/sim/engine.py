@@ -465,7 +465,7 @@ def _reshape_target(
     n = len(coordinator.system_universe())
     suspects = coordinator.suspects
     suspected = (
-        suspects.chronic(coordinator.scheduler.now)
+        suspects.chronic(coordinator.clock.now)
         if suspects is not None
         else frozenset()
     )

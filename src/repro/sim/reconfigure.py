@@ -219,7 +219,7 @@ class TreeReconfigurer:
         self._state = state
         if self._invariants is not None:
             self._invariants.note_epoch(
-                self._epoch, state.value, at=self._coordinator.scheduler.now
+                self._epoch, state.value, at=self._coordinator.clock.now
             )
 
     def _precheck(
@@ -259,7 +259,7 @@ class TreeReconfigurer:
         paused immediately and the migration starts once in-flight
         traffic has drained.
         """
-        now = self._coordinator.scheduler.now
+        now = self._coordinator.clock.now
         outcome = ReconfigOutcome(
             status=ReconfigStatus.SUCCESS,
             new_tree=new_tree,
@@ -305,7 +305,7 @@ class TreeReconfigurer:
         if self._group_quiescent(self.group()):
             self._migrate_next(state)
             return
-        self._coordinator.scheduler.schedule(
+        self._coordinator.clock.schedule(
             DRAIN_POLL, lambda: self._await_drain(state)
         )
 
@@ -331,7 +331,7 @@ class TreeReconfigurer:
         back to the old one on a per-key failure, reporting
         ``rolled_back=True`` with the failing stage's status.
         """
-        now = self._coordinator.scheduler.now
+        now = self._coordinator.clock.now
         outcome = ReconfigOutcome(
             status=ReconfigStatus.SUCCESS,
             new_tree=new_tree,
@@ -429,5 +429,5 @@ class TreeReconfigurer:
             for peer in self.group():
                 peer.resume()
         self._active = False
-        state.outcome.finished_at = self._coordinator.scheduler.now
+        state.outcome.finished_at = self._coordinator.clock.now
         state.on_done(state.outcome)

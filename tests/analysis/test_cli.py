@@ -23,6 +23,25 @@ class TestParser:
         args = build_parser().parse_args(["tune"])
         assert args.n == 48 and args.read_fraction == 0.5
 
+    @pytest.mark.parametrize("argv, expected", [
+        (["simulate"], dict(operations=2000, reshape_at=0.0,
+                            reshape_online=True)),
+        (["shard"], dict(operations=2000, zipf_s=0.0, drop=0.0)),
+        (["chaos"], dict(operations=1000, max_attempts=4, chaos="all",
+                         chaos_horizon=1000.0, check_invariants=True)),
+        (["reconfigure"], dict(operations=1000, max_attempts=4, chaos=None,
+                               reshape_at=200.0, reshape_spec=None,
+                               reshape_online=True, check_invariants=True)),
+        (["reconfigure", "--stop-the-world"], dict(reshape_online=False)),
+        (["simulate", "--reshape-stop-the-world"],
+         dict(reshape_online=False)),
+        (["trace"], dict(operations=500, max_attempts=3, trace=True)),
+        (["report"], dict(operations=500, max_attempts=3, trace=True)),
+    ])
+    def test_simulation_defaults_per_subcommand(self, argv, expected):
+        args = vars(build_parser().parse_args(argv))
+        assert {name: args[name] for name in expected} == expected
+
 
 class TestCommands:
     def test_example_prints_table1(self, capsys):
@@ -71,3 +90,34 @@ class TestCommands:
             "simulate", "1-3-5", "--operations", "300", "--p", "0.8",
         ]) == 0
         assert "availability" in capsys.readouterr().out
+
+
+class TestInvalidSimulationInputs:
+    """Options that parse but describe no valid run are usage errors."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--p", "1.5"], "p must be in [0, 1]"),
+        (["chaos", "--p", "-0.5"], "p must be in [0, 1]"),
+        (["simulate", "--read-fraction", "1.5"],
+         "read_fraction must be in [0, 1]"),
+        (["simulate", "--backoff", "base=abc"], "'abc' is not a number"),
+        (["simulate", "--backoff", "speed=2"], "invalid --backoff component"),
+        (["shard", "--p", "1.5"], "p must be in [0, 1]"),
+    ])
+    def test_exits_2_with_one_line(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"repro {argv[0]}: error: ")
+        assert message in lines[0]
+
+    def test_build_sim_config_rejects_p_outside_unit_interval(self):
+        from repro.runner import SimParams, build_sim_config
+
+        for p in (1.5, -0.5):
+            with pytest.raises(ValueError, match=r"p must be in \[0, 1\]"):
+                build_sim_config(SimParams(p=p))

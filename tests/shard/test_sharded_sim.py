@@ -6,14 +6,11 @@ that folds cleanly, and bit-identical results between a serial repeat
 loop and a ``--jobs N`` process-pool fan-out.
 """
 
+import pickle
+
 import pytest
 
-from repro.runner import (
-    ShardParams,
-    build_sharded_config,
-    merge_sharded_monitors,
-    parallel_shard_simulations,
-)
+from repro.runner import merge_sharded_monitors, parallel_shard_simulations
 from repro.shard import (
     HashRouter,
     ShardedConfig,
@@ -129,25 +126,29 @@ class TestShardedSimulation:
 
 class TestParallelEquivalence:
     def test_serial_and_jobs_fanout_bit_identical(self):
-        params = ShardParams(
-            shards=4, operations=200, keys=256, zipf_s=1.0,
-            p=0.9, seed=13,
+        config = ShardedConfig(
+            workload=_spec(operations=200, keys=256, zipf_s=1.0, rate=0.25),
+            shards=4, p=0.9, timeout=8.0, seed=13,
         )
         serial = merge_sharded_monitors(
-            parallel_shard_simulations(params, 4, jobs=1)
+            parallel_shard_simulations(config, 4, jobs=1)
         )
         fanned = merge_sharded_monitors(
-            parallel_shard_simulations(params, 4, jobs=2)
+            parallel_shard_simulations(config, 4, jobs=2)
         )
         assert serial.summary() == fanned.summary()
         assert serial.per_shard_summaries() == fanned.per_shard_summaries()
 
-    def test_build_sharded_config_round_trip(self):
-        params = ShardParams(shards=2, systems=(("protocol", "grid", 16),))
-        config, label = build_sharded_config(params)
-        assert config.shards == 2
-        assert "2 shards" in label
-        systems = config.resolve_systems()
+    def test_sharded_config_pickle_round_trip(self):
+        # The config itself is the pool task: it must survive pickling
+        # equal and still resolve its system references in the worker.
+        config = ShardedConfig(
+            workload=_spec(), shards=2, systems=(("protocol", "grid", 16),),
+        )
+        clone = pickle.loads(pickle.dumps(config))
+        assert clone == config
+        systems = clone.resolve_systems()
+        assert len(systems) == 2
         assert all(n == 16 for _system, n in systems)
 
 

@@ -1,5 +1,5 @@
 """Edge-case tests for the coordinator: lock timeouts, stale replies,
-write_with_system, quiescence accounting."""
+copy_key onto an override write system, quiescence accounting."""
 
 import random
 
@@ -72,14 +72,18 @@ class TestStaleReplies:
 
 
 class TestWriteWithSystem:
+    """``copy_key(write_system=...)``: read the current system, write another."""
+
     def test_data_lands_on_override_quorum(self):
         tree, scheduler, network, sites, locks, coordinator = make_rig()
         override = ArbitraryProtocol(mostly_write(8))
         outcomes = []
-        coordinator.write_with_system("k", "v", override, outcomes.append)
+        coordinator.write("k", "v", outcomes.append)
         scheduler.run()
-        assert outcomes[0].success
-        assert outcomes[0].quorum in set(override.write_quorums())
+        coordinator.copy_key("k", outcomes.append, write_system=override)
+        scheduler.run()
+        assert outcomes[1].success
+        assert outcomes[1].quorum in set(override.write_quorums())
 
     def test_versions_still_come_from_current_system(self):
         tree, scheduler, network, sites, locks, coordinator = make_rig()
@@ -87,9 +91,10 @@ class TestWriteWithSystem:
         coordinator.write("k", "v1", outcomes.append)
         scheduler.run()
         override = ArbitraryProtocol(mostly_write(8))
-        coordinator.write_with_system("k", "v2", override, outcomes.append)
+        coordinator.copy_key("k", outcomes.append, write_system=override)
         scheduler.run()
         assert outcomes[1].timestamp.version == outcomes[0].timestamp.version + 1
+        assert outcomes[1].value == "v1"
 
 
 class TestQuiescence:
