@@ -2,7 +2,7 @@
 
 The coordinator's original retry loop was hard-wired: an attempt that
 timed out (or had a vote refused) was retried immediately, and an attempt
-that found no live quorum waited a fixed ``unavailable_delay``.  Under
+that found no live quorum waited a fixed delay (its timeout).  Under
 churn that is the worst possible shape — every client hammers the system
 in lockstep the instant a timeout fires, and keeps hammering at the same
 cadence while the failure persists.
@@ -25,8 +25,7 @@ Policies answer two questions, both in simulated time units:
   attempts already made);
 * :meth:`RetryPolicy.unavailable_delay` — wait before re-probing when no
   live quorum exists at all (the detection delay of an unavailability
-  probe round).  ``None`` defers to the coordinator's configured
-  ``unavailable_delay``.
+  probe round).  ``None`` defers to the coordinator's ``timeout``.
 
 :class:`RetryPolicySpec` is the picklable plain-data form carried by
 simulation configs and the parallel runner; ``spec.build(seed)``
@@ -49,7 +48,7 @@ class RetryPolicy(abc.ABC):
 
     def unavailable_delay(self, attempt: int) -> float | None:
         """Delay before re-probing an unavailable system (``None`` =
-        use the coordinator's configured unavailability delay)."""
+        use the coordinator's timeout)."""
         return None
 
 

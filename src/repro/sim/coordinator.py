@@ -24,8 +24,10 @@ The coordinator is protocol-agnostic: it drives any
 interface — the paper's arbitrary protocol and all six comparison protocols
 alike, with no per-protocol adaptation.
 
-Two optional throughput features sit in front of the legacy pipeline and
-leave its RNG/event streams byte-identical when disabled:
+Every public submission passes one front stage, ``_submit``: the
+reconfiguration pause gate, then (reads only) the lease lookup, then the
+batching window, then the pipeline.  The two optional throughput stages
+leave the RNG/event streams byte-identical when disabled:
 
 * **read leases** (``leases=LeaseCache(...)``) — reads of a leased key
   are served from the cache without touching the lock manager or the
@@ -40,6 +42,9 @@ leave its RNG/event streams byte-identical when disabled:
   it dominates every committed version the skipped round could have
   observed).  Within one window, coalesced reads order before that
   window's writes to the same key.
+
+Whatever path an operation takes, it starts in one place, ``_begin``,
+which takes the lock its type needs.
 """
 
 from __future__ import annotations
@@ -92,6 +97,12 @@ class FailureReason(enum.Enum):
     VOTE_REFUSED = "participant-refused"
 
 
+#: The one empty quorum every outcome and context shares: leased reads
+#: contact nobody and reads run no version round, and a fresh
+#: ``frozenset()`` per outcome is a separate 216-byte object.
+_NO_QUORUM: frozenset[int] = frozenset()
+
+
 class OperationOutcome:
     """The result of one read or write operation.
 
@@ -115,8 +126,8 @@ class OperationOutcome:
         success: bool,
         value: Any = None,
         timestamp: Timestamp | None = None,
-        quorum: frozenset[int] = frozenset(),
-        version_quorum: frozenset[int] = frozenset(),
+        quorum: frozenset[int] = _NO_QUORUM,
+        version_quorum: frozenset[int] = _NO_QUORUM,
         attempts: int = 1,
         started_at: float = 0.0,
         finished_at: float = 0.0,
@@ -173,6 +184,24 @@ class OperationOutcome:
         return copy
 
 
+def _leased(
+    key: Any, entry: LeaseEntry, started_at: float, finished_at: float
+) -> OperationOutcome:
+    """The outcome of a read answered from a lease: nobody was contacted,
+    so both quorums are empty and ``attempts`` is 0."""
+    return OperationOutcome(
+        op_type="read",
+        key=key,
+        success=True,
+        value=entry.value,
+        timestamp=entry.timestamp,
+        attempts=0,
+        started_at=started_at,
+        finished_at=finished_at,
+        leased=True,
+    )
+
+
 DoneCallback = Callable[[OperationOutcome], None]
 
 
@@ -187,9 +216,9 @@ class _OpContext:
     """Per-operation protocol state.
 
     A hand-rolled slotted class rather than a slotted dataclass: one is
-    constructed per operation (per submission, even), and a flat
-    ``__init__`` assigning its slots directly is several times cheaper
-    than the generated 30-parameter dataclass one.  Read contexts skip
+    constructed per operation, and a flat ``__init__`` assigning its
+    slots directly is several times cheaper than the generated
+    30-parameter dataclass one.  Read contexts skip
     the write-side scratch collections entirely (``versions``/``votes``/
     ``acks`` stay ``None``) — the write pipeline never runs for them.
     The collections a context does own are *reused* across attempts:
@@ -215,7 +244,6 @@ class _OpContext:
         lock_token: int,
         started_at: float,
         value: Any = None,
-        stage: _Stage = _Stage.READ,
         write_system: QuorumSystem | None = None,
         copy_read: bool = False,
         skip_version: bool = False,
@@ -232,12 +260,16 @@ class _OpContext:
         self.lock_token = lock_token
         self.started_at = started_at
         self.value = value
-        self.stage = stage
+        # Reads and copies open with their read phase, writes with the
+        # version round.
+        self.stage = (
+            _Stage.READ if op_type == "read" or copy_read else _Stage.VERSION
+        )
         self.attempts = 0
         self.request_id = 0
         self.txid = 0
-        self.quorum = frozenset()
-        self.version_quorum = frozenset()
+        self.quorum = _NO_QUORUM
+        self.version_quorum = _NO_QUORUM
         self.replies: dict[int, ReadReply] = {}
         if op_type == "read":
             self.versions = None
@@ -324,7 +356,7 @@ class QuorumCoordinator:
         Optional :class:`~repro.fault.retry.RetryPolicy` governing the
         delay before each retry and before unavailability re-probes.
         ``None`` keeps the legacy shape: immediate retry after a timeout
-        or refused vote, ``unavailable_delay`` after finding no quorum.
+        or refused vote, ``timeout`` after finding no quorum.
     suspects:
         Optional :class:`~repro.fault.detector.SuspectList`.  When
         present, every quorum member that stays silent past a timeout is
@@ -345,7 +377,6 @@ class QuorumCoordinator:
         max_attempts: int = 3,
         writer_id: int = 0,
         tx_ids: TransactionIdSource | None = None,
-        unavailable_delay: float | None = None,
         version_floor: dict | None = None,
         recorder: NullRecorder = NULL_RECORDER,
         liveness_epoch: Callable[[], int] | None = None,
@@ -378,9 +409,6 @@ class QuorumCoordinator:
         self._detector = detector
         self._rng = rng
         self._timeout = timeout
-        self._unavailable_delay = (
-            timeout if unavailable_delay is None else unavailable_delay
-        )
         self._max_attempts = max_attempts
         self._writer_id = writer_id
         self._recorder = recorder
@@ -462,11 +490,6 @@ class QuorumCoordinator:
     up = True
 
     @property
-    def is_up(self) -> bool:
-        """Coordinators do not fail in this model."""
-        return True
-
-    @property
     def system(self) -> QuorumSystem:
         """The active quorum system."""
         return self._system
@@ -505,11 +528,6 @@ class QuorumCoordinator:
     def suspects(self) -> "SuspectList | None":
         """The attached failure detector (``None`` = blind selection)."""
         return self._suspects
-
-    @property
-    def retry_policy(self) -> "RetryPolicy | None":
-        """The attached retry policy (``None`` = legacy immediate retry)."""
-        return self._retry_policy
 
     @property
     def leases(self) -> LeaseCache | None:
@@ -638,6 +656,13 @@ class QuorumCoordinator:
             return self._system.select_read_quorum(self._detector, self._rng)
         return self._system.select_write_quorum(self._detector, self._rng)
 
+    def _members(self, quorum: frozenset[int]) -> list[int]:
+        """``quorum``'s members in SID order (the fan-out order)."""
+        members = self._sorted_members.get(quorum)
+        if members is None:
+            members = self._sorted_members[quorum] = sorted(quorum)
+        return members
+
     def system_universe(self) -> frozenset[int]:
         """The replica SIDs the active system spans (if it reports them)."""
         universe = getattr(self._system, "universe", None)
@@ -670,113 +695,13 @@ class QuorumCoordinator:
         A live lease short-circuits everything: no lock, no quorum, no
         network — the cached value is delivered on the next scheduler
         tick (still asynchronously, so closed-loop callers never
-        recurse).  Lease misses enter the batching window when one is
-        configured, the legacy immediate pipeline otherwise.  While the
-        coordinator is paused (a quiescent migration window), the
-        submission is deferred whole and replayed at :meth:`resume`.
+        recurse).  :meth:`_submit` describes the full front stage.
         """
-        self._submit_read(key, on_done, self._clock.now)
-
-    def _submit_read(
-        self, key: Any, on_done: DoneCallback, submitted_at: float
-    ) -> None:
-        if self._paused:
-            self._deferred.append(
-                _BatchedOp("read", key, None, on_done, submitted_at)
-            )
-            return
-        if self._leases is not None and self._serve_leased(
-            key, on_done, submitted_at
-        ):
-            return
-        if self._batch_window > 0.0:
-            self._enqueue(
-                _BatchedOp("read", key, None, on_done, submitted_at)
-            )
-            return
-        self._read(key, on_done, submitted_at)
-
-    def _read(self, key: Any, on_done: DoneCallback, started_at: float) -> None:
-        """The immediate read pipeline: no pause gate, no lease, no batch.
-
-        :meth:`_submit_read` lands here once the gate, lease cache and
-        batching window have passed the read through; ``started_at`` is
-        the original submission time (a deferred or lease-missed read
-        keeps it), so latency and availability stay honestly measured.
-        """
-        self._in_flight += 1
-        ctx = _OpContext(
-            op_type="read",
-            key=key,
-            on_done=on_done,
-            lock_token=self._tx_ids.next_id(),
-            started_at=started_at,
-            stage=_Stage.READ,
-        )
-        if self._trace_enabled:
-            self._trace_operation_start(ctx, LockMode.SHARED)
-        self._locks.acquire(
-            ctx.lock_token,
-            key,
-            LockMode.SHARED,
-            partial(self._lock_decided, ctx),
-        )
+        self._submit("read", key, None, on_done, self._clock.now)
 
     def write(self, key: Any, value: Any, on_done: DoneCallback) -> None:
         """Issue a quorum write; ``on_done`` fires exactly once."""
-        self._submit_write(key, value, on_done, self._clock.now)
-
-    def _submit_write(
-        self, key: Any, value: Any, on_done: DoneCallback, submitted_at: float
-    ) -> None:
-        if self._paused:
-            self._deferred.append(
-                _BatchedOp("write", key, value, on_done, submitted_at)
-            )
-            return
-        if self._batch_window > 0.0:
-            self._enqueue(
-                _BatchedOp("write", key, value, on_done, submitted_at)
-            )
-            return
-        self._write(key, value, on_done, submitted_at)
-
-    # ------------------------------------------------------------------
-    # reconfiguration pause gate
-    # ------------------------------------------------------------------
-
-    @property
-    def paused(self) -> bool:
-        """True while public submissions are being deferred."""
-        return self._paused
-
-    def pause(self) -> None:
-        """Defer public submissions until :meth:`resume` (idempotent).
-
-        This is the enforcement the quiescent migration's one-shot
-        ``is_quiescent()`` check lacked: traffic submitted *during* the
-        migration window is parked here instead of racing the per-key
-        state transfer on the old tree.
-        """
-        self._paused = True
-
-    def resume(self) -> None:
-        """Reopen the gate and replay deferred submissions in order.
-
-        Replays re-enter the full public pipeline (lease lookup, batching
-        window) under whatever quorum system is active *now* — after a
-        migration that is the new tree — keeping their original
-        submission times so the pause shows up in measured latency.
-        """
-        self._paused = False
-        while self._deferred and not self._paused:
-            op = self._deferred.pop(0)
-            if op.op_type == "read":
-                self._submit_read(op.key, op.on_done, op.submitted_at)
-            else:
-                self._submit_write(
-                    op.key, op.value, op.on_done, op.submitted_at
-                )
+        self._submit("write", key, value, on_done, self._clock.now)
 
     def copy_key(
         self,
@@ -795,79 +720,87 @@ class QuorumCoordinator:
         write quorums when given (quiescent migration writes the new
         tree), on the current system's otherwise (online migration under
         the dual system).  A never-written key (dominant value ``None``)
-        completes successfully without writing anything.
+        completes successfully without writing anything.  Copies bypass
+        the front stage: the migration issuing them holds the pause gate.
         """
         self._in_flight += 1
-        ctx = _OpContext(
+        self._begin(_OpContext(
             op_type="write",
             key=key,
             on_done=on_done,
             lock_token=self._tx_ids.next_id(),
             started_at=self._clock.now,
-            stage=_Stage.READ,
             write_system=write_system,
             copy_read=True,
-        )
-        if self._trace_enabled:
-            self._trace_operation_start(ctx, LockMode.EXCLUSIVE)
-        self._locks.acquire(
-            ctx.lock_token,
-            key,
-            LockMode.EXCLUSIVE,
-            partial(self._lock_decided, ctx),
-        )
+        ))
 
-    def _write(
-        self, key: Any, value: Any, on_done: DoneCallback, started_at: float
+    def _submit(
+        self,
+        op_type: str,
+        key: Any,
+        value: Any,
+        on_done: DoneCallback,
+        submitted_at: float,
     ) -> None:
+        """The front stage every submission passes, in this order.
+
+        1. While the coordinator is paused (a quiescent migration window)
+           the submission is deferred whole and replayed at
+           :meth:`resume`; until then it is not in flight.
+        2. A read of a leased key is answered from the cache on the next
+           scheduler tick.
+        3. With a batching window, the submission queues for the next
+           :meth:`_flush_batch`.
+        4. Otherwise the operation starts now.
+
+        ``submitted_at`` is the original submission time (a deferred
+        operation keeps it), so latency and availability stay honestly
+        measured.
+        """
+        if self._paused:
+            self._deferred.append(
+                _BatchedOp(op_type, key, value, on_done, submitted_at)
+            )
+            return
         self._in_flight += 1
-        ctx = _OpContext(
-            op_type="write",
-            key=key,
-            value=value,
-            on_done=on_done,
-            lock_token=self._tx_ids.next_id(),
-            started_at=started_at,
-            stage=_Stage.VERSION,
-        )
+        if op_type == "read" and self._leases is not None:
+            entry = self._leases.lookup(key)
+            if entry is not None:
+                outcome = _leased(key, entry, submitted_at, self._clock.now)
+                self._clock.call_later(
+                    0.0, self._deliver_leased, (on_done, outcome)
+                )
+                return
+        if self._batch_window > 0.0:
+            self._batch.append(
+                _BatchedOp(op_type, key, value, on_done, submitted_at)
+            )
+            if self._batch_handle is None:
+                self._batch_handle = self._clock.schedule(
+                    self._batch_window, self._flush_batch
+                )
+            return
+        self._begin(_OpContext(
+            op_type, key, on_done, self._tx_ids.next_id(), submitted_at, value
+        ))
+
+    def _begin(self, ctx: _OpContext) -> None:
+        """Start an operation: open its trace and queue for its lock
+        (shared for reads, exclusive for writes and copies)."""
+        mode = LockMode.SHARED if ctx.op_type == "read" else LockMode.EXCLUSIVE
         if self._trace_enabled:
-            self._trace_operation_start(ctx, LockMode.EXCLUSIVE)
+            recorder = self._recorder
+            now = self._clock.now
+            ctx.trace_id = ctx.op_span = recorder.start_trace(
+                ctx.op_type, now, key=str(ctx.key), coordinator=self.sid
+            )
+            ctx.lock_span = recorder.start_span(
+                ctx.trace_id, ctx.op_span, "lock_wait", SpanKind.LOCK_WAIT,
+                now, op=ctx.op_type, mode=mode.value,
+            )
         self._locks.acquire(
-            ctx.lock_token,
-            key,
-            LockMode.EXCLUSIVE,
-            partial(self._lock_decided, ctx),
+            ctx.lock_token, ctx.key, mode, partial(self._lock_decided, ctx)
         )
-
-    # ------------------------------------------------------------------
-    # read leases
-    # ------------------------------------------------------------------
-
-    def _serve_leased(
-        self, key: Any, on_done: DoneCallback, started_at: float | None = None
-    ) -> bool:
-        """Serve a read from the lease cache; False on a miss."""
-        entry = self._leases.lookup(key)
-        if entry is None:
-            return False
-        self._in_flight += 1
-        now = self._clock.now
-        outcome = OperationOutcome(
-            op_type="read",
-            key=key,
-            success=True,
-            value=entry.value,
-            timestamp=entry.timestamp,
-            quorum=frozenset(),
-            version_quorum=frozenset(),
-            attempts=0,
-            started_at=now if started_at is None else started_at,
-            finished_at=now,
-            leased=True,
-        )
-
-        self._clock.call_later(0.0, self._deliver_leased, (on_done, outcome))
-        return True
 
     def _deliver_leased(
         self, pending: tuple[DoneCallback, OperationOutcome]
@@ -877,17 +810,37 @@ class QuorumCoordinator:
         on_done(outcome)
 
     # ------------------------------------------------------------------
-    # operation batching
+    # reconfiguration pause gate
     # ------------------------------------------------------------------
 
-    def _enqueue(self, op: _BatchedOp) -> None:
-        """Queue a submission; the first one arms the flush timer."""
-        self._in_flight += 1
-        self._batch.append(op)
-        if self._batch_handle is None:
-            self._batch_handle = self._clock.schedule(
-                self._batch_window, self._flush_batch
+    def pause(self) -> None:
+        """Defer public submissions until :meth:`resume` (idempotent).
+
+        This is the enforcement the quiescent migration's one-shot
+        ``is_quiescent()`` check lacked: traffic submitted *during* the
+        migration window is parked here instead of racing the per-key
+        state transfer on the old tree.
+        """
+        self._paused = True
+
+    def resume(self) -> None:
+        """Reopen the gate and replay deferred submissions in order.
+
+        Replays re-enter the full front stage (lease lookup, batching
+        window) under whatever quorum system is active *now* — after a
+        migration that is the new tree — keeping their original
+        submission times so the pause shows up in measured latency.
+        """
+        self._paused = False
+        while self._deferred and not self._paused:
+            op = self._deferred.pop(0)
+            self._submit(
+                op.op_type, op.key, op.value, op.on_done, op.submitted_at
             )
+
+    # ------------------------------------------------------------------
+    # operation batching
+    # ------------------------------------------------------------------
 
     def _flush_batch(self) -> None:
         """Issue everything queued during the window, coalesced per key.
@@ -901,7 +854,9 @@ class QuorumCoordinator:
         serialises them).  All read groups in the flush share a single
         pre-selected read quorum, amortising quorum selection across the
         batch; the pre-selection is epoch-stamped and re-validated at
-        lock grant.
+        lock grant.  A read group is re-checked against the lease cache
+        first: a lease granted *during* the window (say, by a
+        write-through commit) serves reads that missed at submission.
         """
         self._batch_handle = None
         batch = self._batch
@@ -919,10 +874,16 @@ class QuorumCoordinator:
             reads = [op for op in ops if op.op_type == "read"]
             writes = [op for op in ops if op.op_type == "write"]
             if reads:
-                if self._leases is not None and self._serve_group_leased(
-                    key, reads
-                ):
-                    pass
+                entry = (
+                    self._leases.lookup(key)
+                    if self._leases is not None
+                    else None
+                )
+                if entry is not None:
+                    now = self._clock.now
+                    self._in_flight -= len(reads)
+                    for op in reads:
+                        op.on_done(_leased(key, entry, op.submitted_at, now))
                 else:
                     if preselected is None:
                         # One selection for every read group in the
@@ -930,36 +891,15 @@ class QuorumCoordinator:
                         preselected = self._select_quorum("read")
                     self._issue_read_group(key, reads, preselected, epoch)
             for index, op in enumerate(writes):
-                self._issue_batched_write(op, skip_version=index > 0)
-
-    def _serve_group_leased(self, key: Any, reads: list[_BatchedOp]) -> bool:
-        """Serve a whole read group from a lease (re-checked at flush).
-
-        A lease granted *during* the window (say, by a write-through
-        commit) can satisfy reads that missed at submission time.
-        """
-        entry = self._leases.lookup(key)
-        if entry is None:
-            return False
-        now = self._clock.now
-        self._in_flight -= len(reads)
-        for op in reads:
-            op.on_done(
-                OperationOutcome(
-                    op_type="read",
+                self._begin(_OpContext(
+                    op_type="write",
                     key=key,
-                    success=True,
-                    value=entry.value,
-                    timestamp=entry.timestamp,
-                    quorum=frozenset(),
-                    version_quorum=frozenset(),
-                    attempts=0,
+                    value=op.value,
+                    on_done=op.on_done,
+                    lock_token=self._tx_ids.next_id(),
                     started_at=op.submitted_at,
-                    finished_at=now,
-                    leased=True,
-                )
-            )
-        return True
+                    skip_version=index > 0,
+                ))
 
     def _issue_read_group(
         self,
@@ -980,62 +920,19 @@ class QuorumCoordinator:
             for on_done, started_at in zip(callbacks, starts):
                 on_done(outcome.with_started_at(started_at))
 
-        ctx = _OpContext(
+        self._begin(_OpContext(
             op_type="read",
             key=key,
             on_done=fan_out,
             lock_token=self._tx_ids.next_id(),
             started_at=starts[0],
-            stage=_Stage.READ,
             preselected=quorum,
             preselected_epoch=epoch,
-        )
-        if self._trace_enabled:
-            self._trace_operation_start(ctx, LockMode.SHARED)
-        self._locks.acquire(
-            ctx.lock_token,
-            key,
-            LockMode.SHARED,
-            partial(self._lock_decided, ctx),
-        )
-
-    def _issue_batched_write(self, op: _BatchedOp, skip_version: bool) -> None:
-        """Issue one queued write (in-flight was counted at enqueue)."""
-        ctx = _OpContext(
-            op_type="write",
-            key=op.key,
-            value=op.value,
-            on_done=op.on_done,
-            lock_token=self._tx_ids.next_id(),
-            started_at=op.submitted_at,
-            stage=_Stage.VERSION,
-            skip_version=skip_version,
-        )
-        if self._trace_enabled:
-            self._trace_operation_start(ctx, LockMode.EXCLUSIVE)
-        self._locks.acquire(
-            ctx.lock_token,
-            op.key,
-            LockMode.EXCLUSIVE,
-            partial(self._lock_decided, ctx),
-        )
+        ))
 
     # ------------------------------------------------------------------
     # trace span helpers
     # ------------------------------------------------------------------
-
-    def _trace_operation_start(self, ctx: _OpContext, mode: LockMode) -> None:
-        recorder = self._recorder
-        if not recorder.enabled:
-            return
-        now = self._clock.now
-        ctx.trace_id = ctx.op_span = recorder.start_trace(
-            ctx.op_type, now, key=str(ctx.key), coordinator=self.sid
-        )
-        ctx.lock_span = recorder.start_span(
-            ctx.trace_id, ctx.op_span, "lock_wait", SpanKind.LOCK_WAIT, now,
-            op=ctx.op_type, mode=mode.value,
-        )
 
     def _begin_phase(self, ctx: _OpContext, name: str, quorum_size: int) -> None:
         recorder = self._recorder
@@ -1095,7 +992,7 @@ class QuorumCoordinator:
             # lease lookup per reader.
             entry = self._leases.lookup(ctx.key)
             if entry is not None:
-                self._finish_leased(ctx, entry)
+                self._finish(ctx, success=True, leased=entry)
                 return
         if ctx.op_type == "write" and self._leases is not None:
             # Revoke the key's lease the moment the writer owns the
@@ -1140,8 +1037,7 @@ class QuorumCoordinator:
             # exclusive lock was released, and this write's lock grant
             # happens-after that release — so the floor already dominates
             # every committed version a version round could observe.
-            floor = self._version_floor.get(ctx.key, ZERO_TIMESTAMP)
-            ctx.write_timestamp = floor.next_version(self._writer_id)
+            ctx.write_timestamp = self._next_timestamp(ctx.key, ZERO_TIMESTAMP)
             self._start_prepare_phase(ctx)
         else:
             ctx.stage = _Stage.VERSION
@@ -1163,7 +1059,7 @@ class QuorumCoordinator:
         if ctx.finished:
             return
         self._cancel_timeout(ctx)
-        delay = self._unavailable_delay
+        delay = self._timeout
         if self._retry_policy is not None:
             policy_delay = self._retry_policy.unavailable_delay(ctx.attempts)
             if policy_delay is not None:
@@ -1226,14 +1122,8 @@ class QuorumCoordinator:
         # per protocol phase, and (ctx, attempt, stage) pins which phase
         # it guards so a late firing after a retry is recognisably stale.
         ctx.timeout_handle = self._clock.schedule(
-            self._timeout, self._fire_timeout, (ctx, ctx.attempts, ctx.stage)
+            self._timeout, self._on_timeout, (ctx, ctx.attempts, ctx.stage)
         )
-
-    def _fire_timeout(
-        self, armed: tuple[_OpContext, int, _Stage]
-    ) -> None:
-        ctx, attempt, stage = armed
-        self._on_timeout(ctx, attempt, stage)
 
     def _cancel_timeout(self, ctx: _OpContext) -> None:
         if ctx.timeout_handle is not None:
@@ -1251,7 +1141,8 @@ class QuorumCoordinator:
             return set(ctx.quorum) - ctx.votes.keys()
         return set(ctx.quorum) - ctx.acks
 
-    def _on_timeout(self, ctx: _OpContext, attempt: int, stage: _Stage) -> None:
+    def _on_timeout(self, armed: tuple[_OpContext, int, _Stage]) -> None:
+        ctx, attempt, stage = armed
         if ctx.finished or ctx.attempts != attempt or ctx.stage is not stage:
             return
         if self._recorder.enabled:
@@ -1280,45 +1171,6 @@ class QuorumCoordinator:
         self._by_request.pop(ctx.request_id, None)
         self._by_txid.pop(ctx.txid, None)
 
-    def _finish_leased(self, ctx: _OpContext, entry: "LeaseEntry") -> None:
-        """Complete a read context from a lease (no quorum was contacted).
-
-        Reached only from the shared-lock grant re-check; the lease was
-        (re)granted while the reader queued, so no attempt ever started —
-        there is no timeout to race and no request to unregister, but both
-        cleanups stay for symmetry with :meth:`_finish`.
-        """
-        if ctx.finished:
-            return
-        ctx.finished = True
-        self._in_flight -= 1
-        self._cancel_timeout(ctx)
-        self._unregister(ctx)
-        if ctx.lock_granted:
-            self._locks.release(ctx.lock_token, ctx.key)
-        recorder = self._recorder
-        if recorder.enabled:
-            self._close_attempt(ctx)
-            recorder.end_span(
-                ctx.op_span, self._clock.now, status=STATUS_OK,
-                attempts=ctx.attempts, quorum=0, version_quorum=0,
-            )
-        ctx.on_done(
-            OperationOutcome(
-                op_type="read",
-                key=ctx.key,
-                success=True,
-                value=entry.value,
-                timestamp=entry.timestamp,
-                quorum=frozenset(),
-                version_quorum=frozenset(),
-                attempts=ctx.attempts,
-                started_at=ctx.started_at,
-                finished_at=self._clock.now,
-                leased=True,
-            )
-        )
-
     def _finish(
         self,
         ctx: _OpContext,
@@ -1326,7 +1178,15 @@ class QuorumCoordinator:
         reason: FailureReason = FailureReason.NONE,
         value: Any = None,
         timestamp: Timestamp | None = None,
+        leased: LeaseEntry | None = None,
     ) -> None:
+        """Complete ``ctx`` once: release its lock, close its spans, grant
+        a lease off a success, and report the outcome.
+
+        ``leased`` is the entry that answered a read at its shared-lock
+        grant: no attempt ever started, the outcome reports the cached
+        value, and the lease is not re-granted.
+        """
         if ctx.finished:
             return
         ctx.finished = True
@@ -1353,11 +1213,16 @@ class QuorumCoordinator:
                 attempts=ctx.attempts, quorum=len(ctx.quorum),
                 version_quorum=len(ctx.version_quorum),
             )
+        if leased is not None:
+            ctx.on_done(
+                _leased(ctx.key, leased, ctx.started_at, self._clock.now)
+            )
+            return
         if success and self._leases is not None:
             # A completed read quorum proves the dominant value current;
             # a committed write *is* the current value (write-through).
             # Either way the key's lease can be (re)granted.
-            self._leases.grant(ctx.key, value, timestamp, ctx.quorum)
+            self._leases.grant(ctx.key, value, timestamp)
         outcome = OperationOutcome(
             op_type=ctx.op_type,
             key=ctx.key,
@@ -1408,14 +1273,11 @@ class QuorumCoordinator:
         sid = self.sid
         request_id = ctx.request_id
         key = ctx.key
-        members = self._sorted_members.get(quorum)
-        if members is None:
-            members = self._sorted_members[quorum] = sorted(quorum)
         # Positional: (src, dst, key, request_id) — the fan-out's
         # allocation rate makes keyword binding measurable.
         self._network.broadcast([
             ReadRequest(sid, member, key, request_id)
-            for member in members
+            for member in self._members(quorum)
         ])
 
     def _on_read_reply(self, ctx: _OpContext, message: ReadReply) -> None:
@@ -1457,13 +1319,7 @@ class QuorumCoordinator:
             return
         ctx.value = best.value
         ctx.version_quorum = ctx.quorum
-        floor = self._version_floor.get(ctx.key, ZERO_TIMESTAMP)
-        current = (
-            best.timestamp
-            if best.timestamp.version >= floor.version
-            else floor
-        )
-        ctx.write_timestamp = current.next_version(self._writer_id)
+        ctx.write_timestamp = self._next_timestamp(ctx.key, best.timestamp)
         # Pre-stage so an unavailable write-quorum selection is reported
         # against the write half, not the already-complete read half.
         ctx.stage = _Stage.PREPARE
@@ -1497,14 +1353,18 @@ class QuorumCoordinator:
         sid = self.sid
         request_id = ctx.request_id
         key = ctx.key
-        members = self._sorted_members.get(quorum)
-        if members is None:
-            members = self._sorted_members[quorum] = sorted(quorum)
         # Positional: (src, dst, key, request_id).
         self._network.broadcast([
             VersionRequest(sid, member, key, request_id)
-            for member in members
+            for member in self._members(quorum)
         ])
+
+    def _next_timestamp(self, key: Any, observed: Timestamp) -> Timestamp:
+        """The write timestamp after ``observed``: one version past the
+        higher of it and ``key``'s version floor."""
+        floor = self._version_floor.get(key, ZERO_TIMESTAMP)
+        current = observed if observed.version >= floor.version else floor
+        return current.next_version(self._writer_id)
 
     def _on_version_reply(self, ctx: _OpContext, message: VersionReply) -> None:
         ctx.versions[message.src] = message.timestamp
@@ -1513,10 +1373,9 @@ class QuorumCoordinator:
         self._cancel_timeout(ctx)
         if ctx.phase_span:
             self._end_phase(ctx)
-        observed = dominant(list(ctx.versions.values()))
-        floor = self._version_floor.get(ctx.key, ZERO_TIMESTAMP)
-        current = observed if observed.version >= floor.version else floor
-        ctx.write_timestamp = current.next_version(self._writer_id)
+        ctx.write_timestamp = self._next_timestamp(
+            ctx.key, dominant(list(ctx.versions.values()))
+        )
         self._by_request.pop(ctx.request_id, None)
         self._start_prepare_phase(ctx)
 
@@ -1538,15 +1397,12 @@ class QuorumCoordinator:
         self._by_txid[ctx.txid] = ctx
         self._arm_timeout(ctx)
         sid = self.sid
-        members = self._sorted_members.get(quorum)
-        if members is None:
-            members = self._sorted_members[quorum] = sorted(quorum)
         # Positional: (src, dst, txid, key, value, timestamp).
         self._network.broadcast([
             PrepareMessage(
                 sid, member, ctx.txid, ctx.key, ctx.value, ctx.write_timestamp
             )
-            for member in members
+            for member in self._members(quorum)
         ])
 
     def _on_vote(self, ctx: _OpContext, message: VoteMessage) -> None:
@@ -1622,14 +1478,10 @@ class QuorumCoordinator:
         sid = self.sid
         txid = ctx.txid
         message_type = CommitMessage if commit else AbortMessage
-        quorum = ctx.quorum
-        members = self._sorted_members.get(quorum)
-        if members is None:
-            members = self._sorted_members[quorum] = sorted(quorum)
         # Positional: (src, dst, txid).
         self._network.broadcast([
             message_type(sid, member, txid)
-            for member in members
+            for member in self._members(ctx.quorum)
         ])
 
     def _on_decision_request(self, message: DecisionRequest) -> None:

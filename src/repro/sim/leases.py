@@ -53,7 +53,6 @@ class LeaseEntry:
 
     value: Any
     timestamp: Timestamp
-    quorum: frozenset[int]
     epoch: int
 
 
@@ -110,23 +109,14 @@ class LeaseCache:
         self.hits += 1
         return entry
 
-    def grant(
-        self,
-        key: Any,
-        value: Any,
-        timestamp: Timestamp,
-        quorum: frozenset[int],
-    ) -> None:
+    def grant(self, key: Any, value: Any, timestamp: Timestamp) -> None:
         """Install/refresh the lease for ``key`` under the current epoch.
 
         Callers grant only off proven-current results: a completed read
         quorum, or a committed write (write-through).
         """
         self._entries[key] = LeaseEntry(
-            value=value,
-            timestamp=timestamp,
-            quorum=quorum,
-            epoch=self._epoch(),
+            value=value, timestamp=timestamp, epoch=self._epoch()
         )
         self.grants += 1
 

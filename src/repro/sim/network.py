@@ -12,7 +12,7 @@ here:
   (fail-stop sites do not process input while down).
 
 Endpoints register under their SID and must expose ``receive(message)`` and
-``is_up`` — both replicas (:class:`repro.sim.site.Site`) and coordinators
+``up`` — both replicas (:class:`repro.sim.site.Site`) and coordinators
 qualify.
 """
 

@@ -84,7 +84,7 @@ class TestLeaseCache:
         cache, _ = self._cache()
         assert cache.lookup("k") is None
         assert cache.misses == 1 and cache.hits == 0
-        cache.grant("k", "v", timestamp=None, quorum=frozenset({1, 2}))
+        cache.grant("k", "v", timestamp=None)
         entry = cache.lookup("k")
         assert entry is not None and entry.value == "v"
         assert cache.hits == 1 and cache.grants == 1
@@ -92,7 +92,7 @@ class TestLeaseCache:
 
     def test_invalidate_revokes_and_counts(self):
         cache, _ = self._cache()
-        cache.grant("k", "v", timestamp=None, quorum=frozenset())
+        cache.grant("k", "v", timestamp=None)
         cache.invalidate("k")
         assert cache.lookup("k") is None
         assert cache.invalidations == 1
@@ -102,19 +102,19 @@ class TestLeaseCache:
 
     def test_epoch_movement_drops_entries(self):
         cache, state = self._cache()
-        cache.grant("k", "v", timestamp=None, quorum=frozenset())
+        cache.grant("k", "v", timestamp=None)
         state["epoch"] += 1
         assert cache.lookup("k") is None
         assert cache.epoch_invalidations == 1
         assert len(cache) == 0
         # A re-grant under the new epoch is served again.
-        cache.grant("k", "v2", timestamp=None, quorum=frozenset())
+        cache.grant("k", "v2", timestamp=None)
         assert cache.lookup("k").value == "v2"
 
     def test_hit_rate_and_summary(self):
         cache, _ = self._cache()
         assert cache.hit_rate == 0.0
-        cache.grant("k", "v", timestamp=None, quorum=frozenset())
+        cache.grant("k", "v", timestamp=None)
         cache.lookup("k")
         cache.lookup("other")
         assert cache.hit_rate == 0.5
@@ -144,6 +144,21 @@ class TestLeasedReads:
         assert second.quorum == frozenset() and second.attempts == 0
         # Nobody was contacted: the leased serve is message-free.
         assert rig.network.stats.sent == sent_before
+
+    def test_leased_outcomes_share_one_empty_quorum(self):
+        # One shared empty frozenset, not a fresh 216-byte object per
+        # outcome: every leased outcome's quorums and every quorum
+        # read's version quorum are the same object.
+        rig = Rig(leases=True)
+        first = rig.read("k")
+        leased = [rig.read("k"), rig.read("k")]
+        assert all(o.leased for o in leased)
+        empty = leased[0].quorum
+        assert empty == frozenset()
+        assert all(
+            o.quorum is empty and o.version_quorum is empty for o in leased
+        )
+        assert first.version_quorum is empty
 
     def test_committed_write_grants_a_write_through_lease(self):
         rig = Rig(leases=True)

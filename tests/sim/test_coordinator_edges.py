@@ -12,17 +12,29 @@ from repro.sim.coordinator import (
     QuorumCoordinator,
 )
 from repro.sim.events import Scheduler
+from repro.sim.leases import LeaseCache
 from repro.sim.locks import LockManager, LockMode
 from repro.sim.network import Network
 from repro.sim.site import Site
 
 
-def make_rig(spec="1-3-5", lock_timeout=None, max_attempts=3, seed=0):
+def make_rig(
+    spec="1-3-5",
+    lock_timeout=None,
+    max_attempts=3,
+    seed=0,
+    batch_window=0.0,
+    leases=False,
+):
     tree = from_spec(spec)
     scheduler = Scheduler()
     network = Network(scheduler, random.Random(seed), latency=1.0)
     sites = [Site(sid, network) for sid in range(tree.n)]
     locks = LockManager(scheduler, wait_timeout=lock_timeout)
+
+    def epoch():
+        return network.liveness_epoch
+
     coordinator = QuorumCoordinator(
         sid=-1,
         network=network,
@@ -33,6 +45,9 @@ def make_rig(spec="1-3-5", lock_timeout=None, max_attempts=3, seed=0):
         timeout=8.0,
         max_attempts=max_attempts,
         writer_id=tree.n,
+        liveness_epoch=epoch,
+        batch_window=batch_window,
+        leases=LeaseCache(epoch=epoch) if leases else None,
     )
     return tree, scheduler, network, sites, locks, coordinator
 
@@ -50,6 +65,30 @@ class TestLockTimeout:
         scheduler.run()
         assert outcomes and not outcomes[0].success
         assert outcomes[0].reason is FailureReason.LOCK_TIMEOUT
+        assert coordinator.is_quiescent()
+
+    @pytest.mark.parametrize(
+        "submit,batch_window,stage",
+        [
+            (lambda c, done: c.read("k", done), 0.0, "read"),
+            (lambda c, done: c.write("k", "v", done), 0.0, "version"),
+            (lambda c, done: c.copy_key("k", done), 0.0, "read"),
+            (lambda c, done: c.write("k", "v", done), 2.0, "version"),
+        ],
+        ids=["read", "write", "copy", "batched-write"],
+    )
+    def test_lock_timeout_reports_the_starting_stage(
+        self, submit, batch_window, stage
+    ):
+        tree, scheduler, network, sites, locks, coordinator = make_rig(
+            lock_timeout=5.0, batch_window=batch_window
+        )
+        outcomes = []
+        locks.acquire(999_999, "k", LockMode.EXCLUSIVE, lambda granted: None)
+        submit(coordinator, outcomes.append)
+        scheduler.run()
+        assert outcomes[0].reason is FailureReason.LOCK_TIMEOUT
+        assert outcomes[0].failed_stage == stage
         assert coordinator.is_quiescent()
 
 
@@ -119,6 +158,41 @@ class TestQuiescence:
         coordinator.read("k", done.append)
         scheduler.run()
         assert done and not done[0].success
+        assert coordinator.is_quiescent()
+
+    @pytest.mark.parametrize(
+        "batch_window,leases",
+        [(0.0, False), (0.0, True), (2.0, False), (2.0, True)],
+    )
+    def test_settles_through_every_front_stage(self, batch_window, leases):
+        # Lease hits, coalesced read groups, skip-version writes and
+        # deferred replays must each leave the in-flight count where they
+        # found it.
+        tree, scheduler, network, sites, locks, coordinator = make_rig(
+            batch_window=batch_window, leases=leases
+        )
+        done = []
+        coordinator.write("k", 0, done.append)
+        scheduler.run()
+        for i in range(3):
+            coordinator.read("k", done.append)
+            coordinator.read(f"x{i}", done.append)
+        coordinator.write("k", 1, done.append)
+        coordinator.write("k", 2, done.append)
+        coordinator.read("k", done.append)
+        scheduler.run(until=scheduler.now + 1.0)
+        coordinator.pause()
+        coordinator.read("k", done.append)
+        coordinator.write("y", 3, done.append)
+        scheduler.run()
+        # Deferred submissions have touched nothing: not in flight.
+        assert coordinator.is_quiescent()
+        assert len(done) == 10
+        coordinator.resume()
+        assert not coordinator.is_quiescent()
+        scheduler.run()
+        assert len(done) == 12
+        assert all(outcome.success for outcome in done)
         assert coordinator.is_quiescent()
 
 
