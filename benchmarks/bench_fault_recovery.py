@@ -100,10 +100,6 @@ def _config(seed: int, detector: bool, operations: int) -> SimulationConfig:
             kind="exponential", base=0.5, factor=2.0, cap=8.0, jitter=0.2
         ),
         detector=detector,
-        # The stragglers are permanent, so let suspicion stick: a short
-        # probe interval would re-trust them every 30 time units and pay
-        # a fresh quorum timeout to re-learn what never changed.
-        probe_interval=120.0,
     )
 
 

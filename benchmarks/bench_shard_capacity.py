@@ -43,7 +43,7 @@ except ImportError:  # direct `python benchmarks/bench_shard_capacity.py`
     sys.path.insert(0, str(Path(__file__).parent))
     from perf_harness import write_bench_json
 
-from repro.runner import merge_sharded_monitors, parallel_shard_simulations
+from repro.runner import merge_monitors, parallel_shard_simulations
 from repro.shard import ShardedConfig, simulate_sharded
 from repro.sim import WorkloadSpec
 
@@ -98,7 +98,7 @@ def _config(
         shards=shards,
         systems=(("tree", "1-3-5"),),
         router="hash",
-        clients_per_shard=2,
+        clients=2,
         service_time=SERVICE_TIME,
         timeout=400.0,  # queueing delay must not read as failure
         seed=2024,
@@ -177,12 +177,12 @@ def jobs_bit_identity(smoke: bool) -> dict:
     )
     repeats = 3
     started = time.perf_counter()
-    serial = merge_sharded_monitors(
+    serial = merge_monitors(
         parallel_shard_simulations(config, repeats, jobs=1)
     )
     serial_seconds = time.perf_counter() - started
     started = time.perf_counter()
-    fanned = merge_sharded_monitors(
+    fanned = merge_monitors(
         parallel_shard_simulations(config, repeats, jobs=2)
     )
     fanned_seconds = time.perf_counter() - started

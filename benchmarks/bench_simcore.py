@@ -328,7 +328,7 @@ def shard16_config(operations: int) -> ShardedConfig:
             arrival="poisson", rate=4.0, zipf_s=0.9,
         ),
         shards=16, systems=(("tree", "1-3-5"),), router="hash",
-        clients_per_shard=2, service_time=1.0, timeout=400.0, seed=2024,
+        clients=2, service_time=1.0, timeout=400.0, seed=2024,
     )
 
 

@@ -415,11 +415,11 @@ def _print_shard(args, config) -> None:
     if args.repeats > 1:
         from repro.runner import (
             ProgressPrinter,
-            merge_sharded_monitors,
+            merge_monitors,
             parallel_shard_simulations,
         )
 
-        monitor = merge_sharded_monitors(parallel_shard_simulations(
+        monitor = merge_monitors(parallel_shard_simulations(
             config, args.repeats, jobs=args.jobs,
             progress=ProgressPrinter("shard") if args.jobs > 1 else None,
         ))
@@ -666,6 +666,14 @@ def _print_profile(args) -> None:
         print(report.phase_breakdown)
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 #: The fault-layer options every simulation subcommand takes.
 _FAULT_OPTIONS = " --retry-policy --backoff --detector --batch-window --leases"
 
@@ -708,11 +716,11 @@ def _simulation_options() -> dict[str, dict]:
         "--drop": dict(type=float, default=0.0,
                        help="message drop probability in [0, 1]"),
         "--repeats": dict(
-            type=int, default=1,
+            type=_positive_int, default=1,
             help="independently seeded repeats (merged measurements "
                  "reported)",
         ),
-        "--jobs": dict(type=int, default=1,
+        "--jobs": dict(type=_positive_int, default=1,
                        help="worker processes to fan repeats across"),
         "--scenario": dict(
             dest="chaos", choices=CHAOS_SCENARIOS + ("all",), default=None,
@@ -811,7 +819,9 @@ def _simulation_options() -> dict[str, dict]:
                               help="hash-placement seed"),
         "--balancer": dict(choices=BALANCER_POLICIES, default="round-robin",
                            help="per-shard coordinator-pool policy"),
-        "--clients-per-shard": dict(type=int, default=1),
+        "--clients-per-shard": dict(
+            dest="clients", metavar="CLIENTS_PER_SHARD", type=int, default=1,
+        ),
         "--regions": dict(
             type=int, default=0,
             help="spread each shard's replicas over this many latency "

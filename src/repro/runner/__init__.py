@@ -21,12 +21,7 @@ workload orchestrators, :mod:`~repro.runner.merge` folds shard results and
 :mod:`~repro.runner.progress` renders completion ticks.
 """
 
-from repro.runner.merge import (
-    merge_availability,
-    merge_monitors,
-    merge_series,
-    merge_sharded_monitors,
-)
+from repro.runner.merge import merge_availability, merge_monitors, merge_series
 from repro.runner.pool import derive_seeds, run_tasks
 from repro.runner.progress import ProgressPrinter, null_progress
 from repro.runner.tasks import (
@@ -53,7 +48,6 @@ __all__ = [
     "merge_availability",
     "merge_monitors",
     "merge_series",
-    "merge_sharded_monitors",
     "null_progress",
     "parallel_availability",
     "parallel_shard_simulations",

@@ -349,7 +349,7 @@ def parallel_shard_simulations(
     Same contract as :func:`parallel_simulations`: repeat k runs under the
     k-th child seed of ``master_seed`` (default ``config.seed``) no matter
     the job count, and the returned list folds shard-wise through
-    :func:`~repro.runner.merge.merge_sharded_monitors` to bytes identical
+    :func:`~repro.runner.merge.merge_monitors` to bytes identical
     to a serial loop.  The :class:`~repro.shard.ShardedConfig` itself is
     the picklable task: its ``systems`` must be plain-data
     :data:`SystemRef` tuples, and every shard's network, coordinator and

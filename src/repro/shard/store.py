@@ -12,6 +12,10 @@ over each shard's coordinator pool.  The
 dispatcher hook: every picked key is routed to its shard's coordinator
 instead of an assumed single object.
 
+Every shard's group runs under the same
+:class:`~repro.sim.engine.GroupConfig` knobs, which :class:`ShardedConfig`
+inherits; ``clients`` is the coordinator count *per shard*.
+
 Determinism contract (mirrors the engine's): one master RNG seeded with
 ``seed`` derives, in order, a ``(network, coordinator, failure)`` seed
 triple per shard (shard order), then the workload seed — so a run is a
@@ -23,17 +27,16 @@ shard-wise folds.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
-from repro.fault.retry import RetryPolicySpec
 from repro.quorums.system import QuorumSystem
 from repro.shard.balancer import LoadBalancer
 from repro.shard.router import ShardRouter, make_router
 from repro.sim.coordinator import OperationOutcome, QuorumCoordinator
 from repro.sim.engine import (
+    GroupConfig,
     ReplicaGroup,
-    SimulationConfig,
     build_replica_group,
     run_workload,
 )
@@ -41,19 +44,21 @@ from repro.sim.events import Scheduler
 from repro.sim.failures import BernoulliFailures, NoFailures
 from repro.sim.monitor import Monitor, ShardedMonitor
 from repro.sim.network import NetworkStats, RegionLatencyMatrix
-from repro.sim.workload import Workload, WorkloadSpec
+from repro.sim.workload import Workload
 from repro.obs.recorder import NULL_RECORDER
 
 
 @dataclass
-class ShardedConfig:
+class ShardedConfig(GroupConfig):
     """Everything a sharded simulation run needs.
+
+    The group knobs are :class:`~repro.sim.engine.GroupConfig`'s and
+    apply to every shard: ``clients`` is coordinators *per shard* (the
+    balancer spreads traffic over them), and ``workload.keys`` is the
+    size of the *global* keyspace the router partitions.
 
     Attributes
     ----------
-    workload:
-        The client stream (mix, arrivals, key popularity).  ``keys`` is
-        the size of the *global* keyspace the router partitions.
     shards:
         Number of shards (replica groups).
     systems:
@@ -71,46 +76,27 @@ class ShardedConfig:
     balancer:
         Coordinator-pool policy per shard (``"round-robin"`` or
         ``"least-outstanding"``).
-    clients_per_shard:
-        Coordinators per shard; the balancer spreads traffic over them.
     p:
         Per-replica Bernoulli availability per shard (1.0 = no
         failures), resampled every 40 time units like the CLI default.
-    regions / local_latency / remote_latency / latency_jitter:
+    regions:
         When ``regions > 0``, each shard's sites are assigned round-robin
         to that many regions and messages pay a
-        :class:`~repro.sim.network.RegionLatencyMatrix` cost
-        (``local_latency`` intra-region, ``remote_latency`` across).
-        ``latency`` is used as the scalar model when ``regions == 0``.
+        :class:`~repro.sim.network.RegionLatencyMatrix` cost (1.0
+        intra-region, 3.0 across).  ``latency`` is used as the scalar
+        model when ``regions == 0``.
     """
 
-    workload: WorkloadSpec = field(default_factory=WorkloadSpec)
     shards: int = 4
     systems: tuple = (("tree", "1-3-5"),)
     router: str = "hash"
     router_seed: int = 0
     balancer: str = "round-robin"
-    clients_per_shard: int = 1
     p: float = 1.0
-    latency: Any = 1.0
     regions: int = 0
-    local_latency: float = 1.0
-    remote_latency: float = 3.0
-    latency_jitter: float = 0.0
-    drop_probability: float = 0.0
-    duplicate_probability: float = 0.0
-    timeout: float = 16.0
-    max_attempts: int = 3
-    service_time: float = 0.0
-    seed: int = 0
-    retry_policy: RetryPolicySpec | None = None
-    detector: bool = False
-    probe_interval: float = 30.0
-    suspect_threshold: int = 1
-    batch_window: float = 0.0
-    leases: bool = False
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.shards < 1:
             raise ValueError("need at least one shard")
         if not self.systems:
@@ -120,10 +106,10 @@ class ShardedConfig:
                 f"systems must have 1 or {self.shards} entries, "
                 f"got {len(self.systems)}"
             )
-        if self.clients_per_shard < 1:
-            raise ValueError("need at least one client per shard")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("p must be in [0, 1]")
+        if self.regions < 0:
+            raise ValueError("regions cannot be negative")
 
     def resolve_systems(self) -> list[tuple[QuorumSystem, int]]:
         """The per-shard ``(system, replica count)`` pairs, refs resolved."""
@@ -258,11 +244,7 @@ def _shard_latency(config: ShardedConfig, n: int) -> Any:
     if config.regions <= 0:
         return config.latency
     return RegionLatencyMatrix.round_robin(
-        range(n),
-        config.regions,
-        local=config.local_latency,
-        remote=config.remote_latency,
-        jitter=config.latency_jitter,
+        range(n), config.regions, local=1.0, remote=3.0
     )
 
 
@@ -293,30 +275,12 @@ def build_sharded_simulation(
                 p=config.p, seed=failure_seed, resample_every=40.0
             )
         )
-        shard_config = SimulationConfig(
-            system=system,
-            workload=config.workload,
-            failures=failures,
-            latency=_shard_latency(config, n),
-            drop_probability=config.drop_probability,
-            duplicate_probability=config.duplicate_probability,
-            timeout=config.timeout,
-            max_attempts=config.max_attempts,
-            clients=config.clients_per_shard,
-            service_time=config.service_time,
-            retry_policy=config.retry_policy,
-            detector=config.detector,
-            probe_interval=config.probe_interval,
-            suspect_threshold=config.suspect_threshold,
-            batch_window=config.batch_window,
-            leases=config.leases,
+        group = build_replica_group(
+            config, system, n, _shard_latency(config, n), scheduler,
+            NULL_RECORDER, network_seed, coordinator_seed,
         )
-        groups.append(
-            build_replica_group(
-                shard_config, system, n, scheduler, NULL_RECORDER,
-                network_seed, coordinator_seed,
-            )
-        )
+        failures.install(scheduler, group.sites, group.network)
+        groups.append(group)
         monitors.append(Monitor(replica_ids=tuple(range(n))))
     workload_seed = master.getrandbits(64)
     router = make_router(

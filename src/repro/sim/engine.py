@@ -5,6 +5,13 @@ replica sites, lossy network, centralised lock manager, quorum coordinator,
 failure injection and a client workload — runs the event loop to
 completion, and returns the measured quantities side by side with the
 closed-form predictions so experiments can compare them directly.
+
+:class:`GroupConfig` declares the knobs of one replica group (network,
+coordinator pool, fault layer, batching, leases) and
+:func:`build_replica_group` wires a group from it.  Both
+:class:`SimulationConfig` (one group) and the sharded store's
+:class:`~repro.shard.store.ShardedConfig` (one group per shard) inherit
+it, so each group knob is declared in one place.
 """
 
 from __future__ import annotations
@@ -38,47 +45,37 @@ COORDINATOR_SID = -1
 
 
 @dataclass
-class SimulationConfig:
-    """Everything a simulation run needs.
+class GroupConfig:
+    """The knobs one replica group and its run share, declared once.
+
+    A group is the paper's Section 2.2 system: replica sites, a lossy
+    network, a centralised lock manager and a coordinator pool over one
+    quorum system.  :class:`SimulationConfig` runs one group;
+    :class:`~repro.shard.store.ShardedConfig` runs one per shard, every
+    shard under these same settings.
 
     Attributes
     ----------
-    tree:
-        The arbitrary-protocol tree to replicate over.  (To simulate a
-        different protocol, pass ``system`` instead.)
-    system:
-        Alternative to ``tree``: any
-        :class:`~repro.quorums.system.QuorumSystem` — every protocol in
-        :mod:`repro.protocols.zoo` plugs in directly.  The replica count
-        comes from the system's ``universe``.
     workload:
         The operation stream (mix, arrivals, key popularity).
-    failures:
-        Failure injector (default: none).
     latency:
         Per-message latency (a float for fixed, or a latency model callable).
-    drop_probability:
-        I.i.d. message loss probability.
-    service_time:
-        Per-message processing time at each replica (0 = instantaneous,
-        the analytical setting; positive values add FIFO queueing so load
-        becomes a throughput bottleneck).
+    drop_probability / duplicate_probability:
+        I.i.d. message loss / duplication probability, each in [0, 1].
     timeout:
         Coordinator quorum-phase timeout.
     max_attempts:
         Quorum attempts per operation; 1 measures raw availability.
     clients:
-        Number of coordinators issuing operations (round-robin).  They
-        share the centralised lock manager, transaction-id source and
+        Number of coordinators per group issuing operations.  They share
+        the group's centralised lock manager, transaction-id source and
         version registry, so concurrent clients stay serialisable.
+    service_time:
+        Per-message processing time at each replica (0 = instantaneous,
+        the analytical setting; positive values add FIFO queueing so load
+        becomes a throughput bottleneck).
     seed:
         Master RNG seed; every run with the same config is identical.
-    trace:
-        When True, wire a :class:`~repro.obs.recorder.TraceRecorder`
-        through the whole stack (coordinator spans, network message
-        counters, lock wait/hold metrics); the recorder lands on
-        ``Monitor.recorder`` / ``SimulationResult.recorder``.  Off by
-        default — the no-op recorder keeps the hot paths at full speed.
     retry_policy:
         Optional picklable :class:`~repro.fault.retry.RetryPolicySpec`.
         Each coordinator builds its own policy instance from it, with a
@@ -88,18 +85,10 @@ class SimulationConfig:
         legacy RNG streams byte-for-byte).
     detector:
         When True, attach one shared
-        :class:`~repro.fault.detector.SuspectList` to every coordinator:
-        silent quorum members accumulate suspicion evidence and quorum
-        selection prefers quorums avoiding suspected sites.
-    probe_interval / suspect_threshold:
-        Failure-detector tuning (how long suspicion lasts before a site
-        is rehabilitated, and how many pieces of evidence it takes).
-    check_invariants:
-        When True, :func:`simulate` audits every completed operation with
-        an :class:`~repro.fault.invariants.InvariantChecker` (quorum
-        intersection + version monotonicity) and raises
-        :class:`~repro.fault.invariants.InvariantViolation` on first
-        blood.  The chaos CI job runs with this on.
+        :class:`~repro.fault.detector.SuspectList` (default tuning) to
+        every coordinator of the group: silent quorum members accumulate
+        suspicion evidence and quorum selection prefers quorums avoiding
+        suspected sites.
     batch_window:
         Coordinator batching window in simulated time units.  0 (the
         default) keeps the legacy issue-immediately pipeline and its
@@ -115,6 +104,69 @@ class SimulationConfig:
         revoked at a conflicting write's exclusive-lock grant and by
         liveness-epoch bumps, and committed writes re-grant them
         (write-through).  Off by default (legacy streams untouched).
+    """
+
+    workload: WorkloadSpec = field(default_factory=WorkloadSpec)
+    latency: Any = 1.0
+    drop_probability: float = 0.0
+    duplicate_probability: float = 0.0
+    timeout: float = 16.0
+    max_attempts: int = 3
+    clients: int = 1
+    service_time: float = 0.0
+    seed: int = 0
+    retry_policy: RetryPolicySpec | None = None
+    detector: bool = False
+    batch_window: float = 0.0
+    leases: bool = False
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.drop_probability <= 1.0:
+            raise ValueError("drop probability must be in [0, 1]")
+        if not 0.0 <= self.duplicate_probability <= 1.0:
+            raise ValueError("duplicate probability must be in [0, 1]")
+        if self.timeout <= 0:
+            raise ValueError("timeout must be positive")
+        if self.max_attempts < 1:
+            raise ValueError("need at least one attempt")
+        if self.clients < 1:
+            raise ValueError("need at least one client")
+        if self.service_time < 0:
+            raise ValueError("service time cannot be negative")
+        if self.batch_window < 0:
+            raise ValueError("batch window cannot be negative")
+
+
+@dataclass
+class SimulationConfig(GroupConfig):
+    """Everything a single-group simulation run needs.
+
+    The group knobs are :class:`GroupConfig`'s; these are the rest.
+
+    Attributes
+    ----------
+    tree:
+        The arbitrary-protocol tree to replicate over.  (To simulate a
+        different protocol, pass ``system`` instead.)
+    system:
+        Alternative to ``tree``: any
+        :class:`~repro.quorums.system.QuorumSystem` — every protocol in
+        :mod:`repro.protocols.zoo` plugs in directly.  The replica count
+        comes from the system's ``universe``.
+    failures:
+        Failure injector (default: none).
+    trace:
+        When True, wire a :class:`~repro.obs.recorder.TraceRecorder`
+        through the whole stack (coordinator spans, network message
+        counters, lock wait/hold metrics); the recorder lands on
+        ``Monitor.recorder`` / ``SimulationResult.recorder``.  Off by
+        default — the no-op recorder keeps the hot paths at full speed.
+    check_invariants:
+        When True, :func:`simulate` audits every completed operation with
+        an :class:`~repro.fault.invariants.InvariantChecker` (quorum
+        intersection + version monotonicity) and raises
+        :class:`~repro.fault.invariants.InvariantViolation` on first
+        blood.  The chaos CI job runs with this on.
     reshape_at:
         Simulated time at which to reconfigure the tree mid-run.  0 (the
         default) disables reconfiguration entirely and keeps the legacy
@@ -132,24 +184,9 @@ class SimulationConfig:
 
     tree: ArbitraryTree | None = None
     system: QuorumSystem | None = None
-    workload: WorkloadSpec = field(default_factory=WorkloadSpec)
     failures: FailureInjector = field(default_factory=NoFailures)
-    latency: Any = 1.0
-    drop_probability: float = 0.0
-    duplicate_probability: float = 0.0
-    timeout: float = 16.0
-    max_attempts: int = 3
-    clients: int = 1
-    service_time: float = 0.0
-    seed: int = 0
     trace: bool = False
-    retry_policy: RetryPolicySpec | None = None
-    detector: bool = False
-    probe_interval: float = 30.0
-    suspect_threshold: int = 1
     check_invariants: bool = False
-    batch_window: float = 0.0
-    leases: bool = False
     reshape_at: float = 0.0
     reshape_spec: str | None = None
     reshape_online: bool = True
@@ -254,9 +291,10 @@ class ReplicaGroup:
 
 
 def build_replica_group(
-    config: SimulationConfig,
+    config: GroupConfig,
     system: QuorumSystem,
     n: int,
+    latency: Any,
     scheduler: Scheduler,
     recorder: NullRecorder,
     network_seed: int,
@@ -264,22 +302,23 @@ def build_replica_group(
 ) -> ReplicaGroup:
     """Wire one replica group (network + sites + locks + coordinators).
 
-    ``network_seed`` / ``coordinator_seed`` are the group's child seeds —
-    the caller owns the derivation order (the classic single-group build
-    keeps the legacy network/workload/coordinator order; the sharded
-    build derives one pair per shard).  Coordinators within the group
-    share one :class:`~repro.quorums.selection.SelectionIndex` (when the
-    system qualifies) so the packed quorum tables and viable-row caches
-    are built once per group, not once per client.
+    ``latency`` is the group's latency model (a sharded build gives each
+    shard its own region matrix).  ``network_seed`` / ``coordinator_seed``
+    are the group's child seeds — the caller owns the derivation order
+    (the classic single-group build keeps the legacy
+    network/workload/coordinator order; the sharded build derives one
+    pair per shard) and installs its failure injector on the returned
+    group.  Coordinators within the group share one
+    :class:`~repro.quorums.selection.SelectionIndex` (when the system
+    qualifies) so the packed quorum tables and viable-row caches are
+    built once per group, not once per client.
     """
-    if config.clients < 1:
-        raise ValueError("need at least one client")
     from repro.sim.transactions import TransactionIdSource
 
     network = Network(
         scheduler,
         random.Random(network_seed),
-        latency=config.latency,
+        latency=latency,
         drop_probability=config.drop_probability,
         duplicate_probability=config.duplicate_probability,
         recorder=recorder,
@@ -295,15 +334,7 @@ def build_replica_group(
     # One SuspectList shared by every coordinator: evidence gathered by one
     # client's timeouts steers every client's selection (the detector
     # models a site-local subsystem, not per-operation state).
-    suspects = (
-        SuspectList(
-            probe_interval=config.probe_interval,
-            threshold=config.suspect_threshold,
-            recorder=recorder,
-        )
-        if config.detector
-        else None
-    )
+    suspects = SuspectList(recorder=recorder) if config.detector else None
     # Like the version floor, the lease cache is *group* state: one
     # client's write must revoke the lease every other client would
     # otherwise serve reads from.
@@ -358,7 +389,6 @@ def build_replica_group(
         )
         if index == 0:
             shared_selector = coordinators[0].selector
-    config.failures.install(scheduler, sites, network)
     return ReplicaGroup(
         system=system,
         n=n,
@@ -400,8 +430,10 @@ def build_simulation(
     if invariants is None and config.check_invariants:
         invariants = InvariantChecker()
     group = build_replica_group(
-        config, system, n, scheduler, recorder, network_seed, coordinator_seed
+        config, system, n, config.latency, scheduler, recorder,
+        network_seed, coordinator_seed,
     )
+    config.failures.install(scheduler, group.sites, group.network)
     workload = Workload(
         spec=config.workload,
         coordinator=group.coordinators,

@@ -24,24 +24,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.obs.recorder import NULL_RECORDER, NullRecorder
 from repro.obs.report import PhaseStat, phase_breakdown, phase_histograms
 from repro.obs.stats import Histogram, linear_percentile
 from repro.sim.coordinator import OperationOutcome
-
-
-def _percentile(sorted_values: list[float], fraction: float) -> float:
-    """Linear-interpolation percentile of pre-sorted values.
-
-    The previous nearest-rank implementation used ``round()``, whose
-    banker's rounding misreported p50/p95 on small samples (e.g. the p50
-    of two values was the *lower* one); delegate to the canonical fixed
-    implementation.
-    """
-    return linear_percentile(sorted_values, fraction)
 
 
 @dataclass
@@ -116,7 +105,7 @@ class OperationSummary:
 
     def latency_percentile(self, fraction: float) -> float:
         """Latency percentile (e.g. 0.5, 0.95) of successful operations."""
-        return _percentile(sorted(self.latencies), fraction)
+        return linear_percentile(sorted(self.latencies), fraction)
 
     def merge(self, other: "OperationSummary") -> "OperationSummary":
         """Fold ``other``'s aggregates into this summary (returns self).
@@ -330,14 +319,6 @@ class ShardedMonitor:
 
     def __len__(self) -> int:
         return len(self.shards)
-
-    def record(self, shard: int, outcome: OperationOutcome) -> None:
-        """Ingest one finished operation into its shard's monitor."""
-        self.shards[shard].record(outcome)
-
-    def sink(self, shard: int) -> "Callable[[OperationOutcome], None]":
-        """A bound per-shard outcome callback (the workload dispatcher's)."""
-        return self.shards[shard].record
 
     def _fold(self, op: str) -> OperationSummary:
         fresh = OperationSummary()

@@ -97,9 +97,8 @@ class RegionLatencyMatrix:
     cross-region hops pay the WAN.  ``matrix[a][b]`` is the base latency
     from region ``a`` to region ``b``; ``regions`` maps SIDs to region
     indices (SIDs absent from the map — e.g. the negative coordinator
-    SIDs — live in ``default_region``).  ``jitter`` adds a multiplicative
-    uniform spread of up to ``jitter`` on top of the base (0 keeps the
-    matrix deterministic and draws nothing from the RNG).
+    SIDs — live in ``default_region``).  The cost is deterministic: the
+    model draws nothing from the RNG.
 
     Instances are *per-pair* latency models: the network calls them with
     ``(rng, src, dst)`` instead of the scalar models' ``(rng)`` — the
@@ -109,7 +108,6 @@ class RegionLatencyMatrix:
     matrix: tuple[tuple[float, ...], ...]
     regions: tuple[tuple[int, int], ...] = ()
     default_region: int = 0
-    jitter: float = 0.0
 
     #: Dispatch flag: Network passes (rng, src, dst) when this is true.
     per_pair = True
@@ -129,31 +127,9 @@ class RegionLatencyMatrix:
         for _sid, region in self.regions:
             if not 0 <= region < size:
                 raise ValueError(f"region {region} out of range")
-        if not 0.0 <= self.jitter:
-            raise ValueError("jitter must be non-negative")
         # Frozen dataclass: stash the lookup dict via object.__setattr__
         # so per-message region lookups are O(1), not a linear scan.
         object.__setattr__(self, "_region_of", dict(self.regions))
-
-    @classmethod
-    def uniform(
-        cls,
-        regions: int,
-        local: float = 1.0,
-        remote: float = 10.0,
-        assignment: Iterable[tuple[int, int]] = (),
-        jitter: float = 0.0,
-    ) -> "RegionLatencyMatrix":
-        """The common shape: one intra-region and one cross-region cost."""
-        if regions < 1:
-            raise ValueError("need at least one region")
-        matrix = tuple(
-            tuple(local if a == b else remote for b in range(regions))
-            for a in range(regions)
-        )
-        return cls(
-            matrix=matrix, regions=tuple(assignment), jitter=jitter
-        )
 
     @classmethod
     def round_robin(
@@ -162,26 +138,26 @@ class RegionLatencyMatrix:
         regions: int,
         local: float = 1.0,
         remote: float = 10.0,
-        jitter: float = 0.0,
     ) -> "RegionLatencyMatrix":
-        """Assign ``sids`` to ``regions`` round-robin over a uniform matrix."""
+        """Assign ``sids`` to ``regions`` round-robin over a uniform matrix
+        (one intra-region and one cross-region cost)."""
+        if regions < 1:
+            raise ValueError("need at least one region")
+        matrix = tuple(
+            tuple(local if a == b else remote for b in range(regions))
+            for a in range(regions)
+        )
         assignment = tuple(
             (sid, index % regions) for index, sid in enumerate(sids)
         )
-        return cls.uniform(
-            regions, local=local, remote=remote,
-            assignment=assignment, jitter=jitter,
-        )
+        return cls(matrix=matrix, regions=assignment)
 
     def region_of(self, sid: int) -> int:
         """The region a SID is deployed in."""
         return self._region_of.get(sid, self.default_region)
 
     def __call__(self, rng: random.Random, src: int, dst: int) -> float:
-        base = self.matrix[self.region_of(src)][self.region_of(dst)]
-        if self.jitter:
-            return base * (1.0 + self.jitter * rng.random())
-        return base
+        return self.matrix[self.region_of(src)][self.region_of(dst)]
 
 
 def fixed_latency(value: float) -> LatencyModel:

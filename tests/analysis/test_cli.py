@@ -103,6 +103,12 @@ class TestInvalidSimulationInputs:
         (["simulate", "--backoff", "base=abc"], "'abc' is not a number"),
         (["simulate", "--backoff", "speed=2"], "invalid --backoff component"),
         (["shard", "--p", "1.5"], "p must be in [0, 1]"),
+        (["shard", "--drop", "1.5"], "drop probability must be in [0, 1]"),
+        (["shard", "--service-time", "-1"], "service time cannot be negative"),
+        (["shard", "--batch-window", "-1"], "batch window cannot be negative"),
+        (["simulate", "--batch-window", "-1"],
+         "batch window cannot be negative"),
+        (["shard", "--regions", "-2"], "regions cannot be negative"),
     ])
     def test_exits_2_with_one_line(self, argv, message, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -114,6 +120,21 @@ class TestInvalidSimulationInputs:
         assert len(lines) == 1
         assert lines[0].startswith(f"repro {argv[0]}: error: ")
         assert message in lines[0]
+
+    @pytest.mark.parametrize("argv, option", [
+        (["shard", "--jobs", "0", "--repeats", "2"], "--jobs"),
+        (["simulate", "--repeats", "0"], "--repeats"),
+    ])
+    def test_counts_below_one_are_argument_errors(self, argv, option, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            f"repro {argv[0]}: error: argument {option}: must be at least 1, "
+            "got 0"
+        )
 
     def test_build_sim_config_rejects_p_outside_unit_interval(self):
         from repro.runner import SimParams, build_sim_config

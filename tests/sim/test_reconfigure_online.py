@@ -8,7 +8,6 @@ mid-migration failure, chaos composition, and the fault-planned target.
 
 from repro.core.builder import from_spec, mostly_write
 from repro.fault.invariants import InvariantChecker
-from repro.fault.scenarios import OnlineReshape
 from repro.runner.tasks import SimParams, build_sim_config
 from repro.sim.engine import SimulationConfig, build_simulation, simulate
 from repro.sim.reconfigure import ReconfigStatus, TreeReconfigurer
@@ -151,18 +150,6 @@ class TestChaosComposition:
         assert outcome.success or outcome.rolled_back
         assert checker.ok, checker.violations[:3]
         assert result.summary()["read_availability"] > 0.8
-
-    def test_online_reshape_injector(self):
-        """The fault-layer injector drives the same transition."""
-        injector = OnlineReshape(spec="1-4-4", at=120.0, keys=8)
-        config = SimulationConfig(
-            tree=from_spec("1-3-5"), workload=_workload(operations=300),
-            failures=injector, seed=3, check_invariants=True,
-        )
-        result = simulate(config)
-        assert injector.outcomes and injector.outcomes[0].success
-        assert injector.outcomes[0].mode == "online"
-        assert result.invariants is not None and result.invariants.ok
 
 
 class TestPlannedTarget:
