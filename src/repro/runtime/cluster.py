@@ -1,8 +1,8 @@
 """Local cluster orchestration — the ``repro cluster`` entry point.
 
-Spawns N real site processes (each running
-``python -m repro.runtime.siteserver`` on an ephemeral localhost port),
-dials them with a :class:`TcpTransport`, and drives the *same*
+Starts N real site processes on ephemeral localhost ports, all forked by
+one launcher process (:func:`repro.runtime.siteserver.launch`), dials
+them with a :class:`TcpTransport`, and drives the *same*
 :class:`~repro.sim.coordinator.QuorumCoordinator` the simulator uses —
 wall-clock timeouts, real retry backoff, real sockets.
 On top of the coordinator sit:
@@ -14,8 +14,7 @@ On top of the coordinator sit:
   transport discovers the death through the dropped connection;
 * a closed-loop traffic runner (:func:`run_traffic`) measuring
   wall-clock ops/sec and latency percentiles, with an optional mid-run
-  kill; the CI runtime job and ``benchmarks/bench_runtime.py`` are both
-  thin wrappers around it;
+  kill; ``repro cluster`` and ``tests/runtime/test_cluster.py`` drive it;
 * a KV front-end (:class:`KVFrontend`) serving the get/put API to
   external clients as ``get``/``put``/``result`` control frames.
 
@@ -29,11 +28,12 @@ import asyncio
 import contextlib
 import os
 import random
+import signal
 import subprocess
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 import repro
 from repro.core.builder import from_spec
@@ -43,7 +43,8 @@ from repro.runtime.transport import TcpTransport
 from repro.sim.coordinator import OperationOutcome, QuorumCoordinator
 from repro.sim.locks import LockManager
 
-_ANNOUNCE_PREFIX = "REPRO-SITE "
+#: The launcher's entry point, run as ``python -c LAUNCHER host sid...``.
+LAUNCHER = "from repro.runtime.siteserver import launch; launch()"
 
 
 def _site_env() -> dict[str, str]:
@@ -57,84 +58,49 @@ def _site_env() -> dict[str, str]:
     return env
 
 
+class ForkedSite(NamedTuple):
+    """A forked site's pid, and its rc once the launcher has reaped it."""
+
+    pid: int
+    returncode: int | None = None
+
+
 class SiteProcess:
-    """One replica site running as a real child process."""
+    """One replica site running as a real process forked by the launcher."""
 
     def __init__(self, sid: int, host: str = "127.0.0.1") -> None:
         self.sid = sid
         self.host = host
         self.port: int | None = None
-        self.proc: subprocess.Popen | None = None
+        self.proc: ForkedSite | None = None
+        self.lines = asyncio.StreamReader()  # the announced port, then EOF
 
     async def spawn(self, timeout: float = 10.0) -> None:
-        """Start the site process and scrape its announced ephemeral port.
-
-        The announcement is read on the event loop itself, not on an
-        executor thread, so ``timeout`` bounds this site's own start-up
-        and never counts time spent queued behind other sites' reads.
-        """
-        self.proc = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro.runtime.siteserver",
-                "--sid", str(self.sid), "--host", self.host, "--port", "0",
-            ],
-            env=_site_env(),
-            stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL,
+        """Await this site's announced port, at most ``timeout`` seconds."""
+        self.port = await asyncio.wait_for(
+            self._announced_port(self.lines), timeout
         )
-        reader = asyncio.StreamReader()
-        pipe, _ = await asyncio.get_running_loop().connect_read_pipe(
-            lambda: asyncio.StreamReaderProtocol(reader), self.proc.stdout
-        )
-        try:
-            self.port = await asyncio.wait_for(
-                self._announced_port(reader), timeout
-            )
-        finally:
-            pipe.close()
 
     async def _announced_port(self, reader: asyncio.StreamReader) -> int:
-        while True:
-            line = (await reader.readline()).decode()
-            if not line:
-                raise RuntimeError(
-                    f"site {self.sid} exited before announcing its port "
-                    f"(rc={self.proc.poll()})"
-                )
-            if line.startswith(_ANNOUNCE_PREFIX):
-                fields = dict(
-                    part.split("=", 1)
-                    for part in line[len(_ANNOUNCE_PREFIX):].split()
-                )
-                return int(fields["port"])
+        port = await reader.readline()
+        if not port:
+            raise RuntimeError(
+                f"site {self.sid} exited before announcing its port "
+                f"(rc={self.proc and self.proc.returncode})"
+            )
+        return int(port)
 
     @property
     def alive(self) -> bool:
-        """The process exists and has not exited."""
-        return self.proc is not None and self.proc.poll() is None
+        """Forked, and the launcher has not reported its exit."""
+        return self.proc is not None and self.proc.returncode is None
 
-    def kill(self) -> None:
-        """SIGKILL — the chaos injection: no warning, no cleanup."""
-        if self.proc is not None:
-            self.proc.kill()
-
-    async def stop(self, grace: float = 5.0) -> int | None:
-        """Graceful shutdown: SIGTERM, then SIGKILL past ``grace`` seconds."""
-        if self.proc is None:
-            return None
-        if self.proc.poll() is None:
-            self.proc.terminate()
-            loop = asyncio.get_running_loop()
-            try:
-                await asyncio.wait_for(
-                    loop.run_in_executor(None, self.proc.wait), grace
-                )
-            except asyncio.TimeoutError:
-                self.proc.kill()
-                await loop.run_in_executor(None, self.proc.wait)
-        if self.proc.stdout is not None:
-            self.proc.stdout.close()
-        return self.proc.returncode
+    def kill(self, signum: int = signal.SIGKILL) -> None:
+        """Signal the site (SIGKILL: the chaos injection) unless its exit
+        was reported, after which the pid may name another process."""
+        if self.alive:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(self.proc.pid, signum)
 
 
 class LocalCluster:
@@ -157,14 +123,24 @@ class LocalCluster:
         self.max_attempts = max_attempts
         self.seed = seed
         self.sites: list[SiteProcess] = []
+        self.launcher: subprocess.Popen | None = None
+        self._reports: asyncio.Task | None = None
         self.transport: TcpTransport | None = None
         self.coordinator: QuorumCoordinator | None = None
         self.locks: LockManager | None = None
 
     async def start(self) -> None:
-        """Spawn every site, dial them all, wire the coordinator."""
+        """Launch every site, dial them all, wire the coordinator."""
         self.transport = TcpTransport(local_sid=-1)
         self.sites = [SiteProcess(sid, self.host) for sid in range(self.n)]
+        # Given the driver's -W options, warnings-as-errors cover its forks.
+        self.launcher = subprocess.Popen(
+            [sys.executable, *(f"-W{w}" for w in sys.warnoptions), "-c",
+             LAUNCHER, self.host, *map(str, range(self.n))],
+            env=_site_env(), stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+        )
+        self._reports = asyncio.ensure_future(self._route_reports())
         try:
             spawned = await asyncio.gather(
                 *(site.spawn() for site in self.sites), return_exceptions=True
@@ -201,17 +177,52 @@ class LocalCluster:
             liveness_epoch=self.transport.current_liveness_epoch,
         )
 
+    async def _route_reports(self) -> None:
+        """Hand each launcher stdout line to the site it names."""
+        reader = asyncio.StreamReader()
+        pipe, _ = await asyncio.get_running_loop().connect_read_pipe(
+            lambda: asyncio.StreamReaderProtocol(reader), self.launcher.stdout
+        )
+        try:
+            while line := await reader.readline():
+                kind, _, rest = line.decode().partition(" ")
+                kv = dict(part.split("=", 1) for part in rest.split())
+                site = self.sites[int(kv["sid"])]
+                if kind == "REPRO-FORK":
+                    site.proc = ForkedSite(int(kv["pid"]))
+                elif kind == "REPRO-EXIT":  # also for a site killed pre-FORK
+                    site.proc = ForkedSite(int(kv["pid"]), int(kv["rc"]))
+                    site.lines.feed_eof()
+                else:  # REPRO-SITE, the site's own announcement
+                    site.lines.feed_data(f"{kv['port']}\n".encode())
+        finally:
+            pipe.close()
+            for site in self.sites:
+                site.lines.feed_eof()
+
     async def stop(self) -> list[int | None]:
-        """Close the transport and terminate every site; returns rcs."""
+        """SIGTERM live sites, then close the launcher's stdin: it SIGKILLs
+        the rest, reaps all and exits, which ends its stdout.  Returns rcs."""
         if self.transport is not None:
             await self.transport.close()
-        return list(
-            await asyncio.gather(*(site.stop() for site in self.sites))
-        )
+        if self.launcher is not None:
+            for site in self.sites:
+                site.kill(signal.SIGTERM)
+            self.launcher.stdin.close()
+            try:
+                await asyncio.wait_for(self._reports, 5.0)
+            except asyncio.TimeoutError:
+                self.launcher.kill()
+            self.launcher.wait()
+            self.launcher.stdout.close()
+        return [site.proc and site.proc.returncode for site in self.sites]
 
     def orphans(self) -> list[int]:
-        """SIDs of site processes still running (must be empty after stop)."""
-        return [site.sid for site in self.sites if site.alive]
+        """Pids of the launcher and unreaped sites (empty after stop)."""
+        pids = [site.proc.pid for site in self.sites if site.alive]
+        if self.launcher is not None and self.launcher.poll() is None:
+            pids.append(self.launcher.pid)
+        return pids
 
     # -- chaos ---------------------------------------------------------
 

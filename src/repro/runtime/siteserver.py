@@ -1,8 +1,9 @@
 """One replica site served over TCP — the site-process entry point.
 
 ``python -m repro.runtime.siteserver --sid N`` and ``repro serve --sid
-N`` both run :func:`main`.  What this module imports is a site process's
-whole import budget, so it must not reach :mod:`repro.cli`,
+N`` both run :func:`main`; a cluster's launcher forks its sites in
+:func:`launch`.  What this module imports is a site process's whole
+import budget, so it must not reach :mod:`repro.cli`,
 :mod:`repro.quorums.load` or :mod:`repro.sim.engine`.
 
 A :class:`SiteServer` owns a *real* :class:`repro.sim.site.Site` — the
@@ -31,6 +32,8 @@ from __future__ import annotations
 import argparse
 import asyncio
 import contextlib
+import os
+import signal
 import sys
 from collections.abc import Sequence
 from typing import Any
@@ -210,12 +213,17 @@ class SiteServer:
             writer.close()
 
 
+def _report(line: str) -> None:
+    """One line on stdout in one write: a launcher's sites share the pipe."""
+    with contextlib.suppress(BrokenPipeError):  # the reader is gone
+        os.write(1, f"{line}\n".encode())
+
+
 async def serve_site(
     sid: int,
     host: str = "127.0.0.1",
     port: int = 0,
     service_time: float = 0.0,
-    announce: bool = True,
 ) -> None:
     """Run one site process until cancelled (see :func:`main`).
 
@@ -224,12 +232,53 @@ async def serve_site(
     """
     server = SiteServer(sid, host=host, port=port, service_time=service_time)
     await server.start()
-    if announce:
-        print(f"REPRO-SITE sid={sid} port={server.port}", flush=True)
+    _report(f"REPRO-SITE sid={sid} port={server.port}")
     try:
         await asyncio.Event().wait()  # serve until cancelled/killed
     finally:
         await server.stop()
+
+
+def _reap(children: dict[int, int], flags: int) -> None:
+    """Report each exited site's rc.  A SIGCHLD may rerun this inside
+    itself, and the inner run may reap the last child: hence ECHILD."""
+    while children:
+        try:
+            pid, status = os.waitpid(-1, flags)
+        except ChildProcessError:
+            return
+        if pid == 0:
+            return
+        rc = os.waitstatus_to_exitcode(status)
+        _report(f"REPRO-EXIT sid={children.pop(pid)} pid={pid} rc={rc}")
+
+
+def launch() -> None:
+    """A cluster's launcher (``sys.argv[1:]``: the host, then the SIDs).
+
+    Forks every site before any thread or event loop exists.  Each site
+    writes ``REPRO-FORK sid= pid=`` before announcing; the launcher writes
+    ``REPRO-EXIT sid= pid= rc=`` as it reaps one, and at EOF on stdin (the
+    driver stopped or died) SIGKILLs and reaps every site left."""
+    host, *sids = sys.argv[1:]
+    children: dict[int, int] = {}  # pid -> SID, until reaped
+    for sid in map(int, sids):
+        if (pid := os.fork()) == 0:
+            try:
+                _report(f"REPRO-FORK sid={sid} pid={os.getpid()}")
+                asyncio.run(serve_site(sid, host=host))
+            finally:
+                os._exit(1)
+        children[pid] = sid
+    signal.signal(signal.SIGCHLD, lambda *_: _reap(children, os.WNOHANG))
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # outlive Ctrl-C to reap
+    _reap(children, os.WNOHANG)  # sites that exited before the handler
+    while os.read(0, 512):
+        pass
+    signal.signal(signal.SIGCHLD, signal.SIG_DFL)
+    for pid in children:  # unreaped, so no pid here is reused yet
+        os.kill(pid, signal.SIGKILL)
+    _reap(children, 0)
 
 
 def main(argv: Sequence[str] | None = None, prog: str | None = None) -> int:

@@ -1,10 +1,12 @@
 """What a site process loads, and the lazy package re-exports behind it.
 
-Every site of a real cluster is its own interpreter, so each module the
-serving path imports is paid once per site at start-up.  These checks run
-in a fresh interpreter and inspect ``sys.modules`` — no timing — so they
-are deterministic: the site entry module must not drag in numpy, scipy,
-the CLI, the analysis code, the coordinator or the simulation engine.
+A real cluster's launcher imports the serving path once and forks every
+site from it, so each module that path imports is paid at every cluster
+start.  These checks run in a fresh interpreter and inspect
+``sys.modules`` — no timing — so they are deterministic: neither the site
+entry module nor the launcher may drag in numpy, scipy, the CLI, the
+analysis code, the optimal-load LP, the coordinator or the simulation
+engine.
 """
 
 import json
@@ -17,6 +19,7 @@ import pytest
 
 import repro
 import repro.sim
+from repro.runtime.cluster import LAUNCHER
 
 SRC = str(Path(repro.__file__).resolve().parents[1])
 
@@ -26,6 +29,7 @@ SITE_FORBIDDEN = (
     "scipy",
     "repro.cli",
     "repro.analysis",
+    "repro.quorums.load",
     "repro.sim.coordinator",
     "repro.sim.engine",
 )
@@ -38,6 +42,7 @@ def _run(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, *args],
         env=env, capture_output=True, text=True, timeout=60, check=True,
+        stdin=subprocess.DEVNULL,  # the launcher serves until stdin EOF
     )
 
 
@@ -54,6 +59,12 @@ def _loaded_after(statement: str, candidates) -> list[str]:
 def test_site_entry_module_loads_only_the_serving_path():
     loaded = _loaded_after("import repro.runtime.siteserver", SITE_FORBIDDEN)
     assert loaded == []
+
+
+def test_launcher_entry_loads_only_the_serving_path():
+    # The launcher's own entry, run with a host and no SIDs to fork.
+    statement = f"sys.argv[1:] = ['127.0.0.1']\n{LAUNCHER}"
+    assert _loaded_after(statement, SITE_FORBIDDEN) == []
 
 
 def test_probe_detects_heavy_imports():
