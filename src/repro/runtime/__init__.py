@@ -13,9 +13,10 @@ OS process:
   protocol messages;
 * :mod:`~repro.runtime.loopback` — the minimal in-process transport
   (seam conformance tests);
+* :mod:`~repro.runtime.transport` — the TCP transport both ends run on:
+  the coordinator front-end dials with it, each site accepts with it;
 * :mod:`~repro.runtime.siteserver` — one replica site served over TCP
   (the site-process entry point, also ``repro serve``);
-* :mod:`~repro.runtime.transport` — the coordinator-side TCP transport;
 * :mod:`~repro.runtime.cluster` — spawn N local site processes, wire a
   coordinator front-end, serve a get/put KV API, and inject SIGKILL
   chaos (the ``repro cluster`` entry point).

@@ -75,6 +75,9 @@ class Clock(Protocol):
 class Endpoint(Protocol):
     """Anything registered on a transport: has liveness and receives."""
 
+    #: Whether the endpoint currently processes messages.  A plain
+    #: attribute (not a property) by contract: a transport reads it on
+    #: every delivery, and endpoints flip it on crash/recover.
     up: bool
 
     def receive(self, message: Any) -> None:

@@ -8,23 +8,25 @@ import budget, so it must not reach :mod:`repro.cli`,
 
 A :class:`SiteServer` owns a *real* :class:`repro.sim.site.Site` — the
 same class the simulator runs, with its versioned store, 2PC prepare log
-and recovery protocol — and exposes it on a listening socket.  The site
-itself is wired to a :class:`_SitePeerTransport`, a seam implementation
-whose ``send`` routes outbound messages (replies, votes, acks, recovery
-``DecisionRequest``\\ s) to whichever connection the destination SID
-arrived on.
-
-Connection protocol: a connecting peer (the coordinator front-end) first
-sends a ``hello`` control frame carrying its own SID; every later frame
-is a protocol message for this site.  Replies flow back on the same
-connection.  A peer that disconnects is forgotten — messages to it drop,
-exactly like the simulator's delivery-time liveness check.
+and recovery protocol — registered on a
+:class:`~repro.runtime.transport.TcpTransport` whose
+:meth:`~repro.runtime.transport.TcpTransport.accept` serves the listening
+socket.  That transport is the same class the coordinator front-end dials
+with, so the ``hello`` handshake, the frame pump, ``send`` and the
+per-peer connection table are one piece of code at both ends: a peer
+(the coordinator front-end) first sends a ``hello`` carrying its own
+SID, and every outbound message of the site (replies, votes, acks,
+recovery ``DecisionRequest``\\ s) goes back on the connection its
+destination SID arrived on.  A peer that disconnects is forgotten —
+messages to it drop, exactly like the simulator's delivery-time liveness
+check.
 
 Crash injection: the *real* chaos mode SIGKILLs the whole process (see
 :mod:`repro.runtime.cluster`).  For in-process tests, :meth:`crash`
-models the same observable event — the site stops answering and its
-connections drop — while :meth:`recover` restores service with stable
-storage intact and runs the site's 2PC termination protocol.
+models the same observable event — the site stops answering, its
+connections drop and a new ``hello`` is refused — while :meth:`recover`
+restores service with stable storage intact and runs the site's 2PC
+termination protocol.
 """
 
 from __future__ import annotations
@@ -36,55 +38,9 @@ import os
 import signal
 import sys
 from collections.abc import Sequence
-from typing import Any
 
-from repro.runtime.clock import AsyncClock
-from repro.runtime.codec import (
-    CodecError,
-    decode_message,
-    encode_message,
-    read_frame,
-    write_frame,
-)
-from repro.runtime.interfaces import Clock, Endpoint
+from repro.runtime.transport import TcpTransport
 from repro.sim.site import Site
-
-
-class _SitePeerTransport:
-    """The seam as seen from inside one site process.
-
-    Outbound routing is by destination SID -> live connection; liveness
-    epochs are a local counter (each process observes its own site's
-    transitions — remote liveness is the coordinator transport's job).
-    """
-
-    def __init__(self, clock: Clock, server: "SiteServer") -> None:
-        self._clock = clock
-        self._server = server
-        self._endpoints: dict[int, Endpoint] = {}
-        self._liveness_epoch = 0
-
-    @property
-    def clock(self) -> Clock:
-        return self._clock
-
-    def register(self, sid: int, endpoint: Endpoint) -> None:
-        if sid in self._endpoints:
-            raise ValueError(f"SID {sid} already registered")
-        self._endpoints[sid] = endpoint
-
-    def current_liveness_epoch(self) -> int:
-        return self._liveness_epoch
-
-    def bump_liveness_epoch(self) -> None:
-        self._liveness_epoch += 1
-
-    def send(self, message: Any) -> None:
-        self._server.route(message)
-
-    def broadcast(self, messages: list) -> None:
-        for message in messages:
-            self.send(message)
 
 
 class SiteServer:
@@ -102,11 +58,8 @@ class SiteServer:
         self._port = port
         self._service_time = service_time
         self._server: asyncio.base_events.Server | None = None
-        self._writers: dict[int, asyncio.StreamWriter] = {}
-        self._conn_tasks: set[asyncio.Task] = set()
-        self._accepting = True
         self.site: Site | None = None
-        self.transport: _SitePeerTransport | None = None
+        self.transport: TcpTransport | None = None
 
     @property
     def port(self) -> int:
@@ -114,14 +67,13 @@ class SiteServer:
         return self._port
 
     async def start(self) -> None:
-        """Bind the socket and wire the site to the peer transport."""
-        clock = AsyncClock(asyncio.get_running_loop())
-        self.transport = _SitePeerTransport(clock, self)
+        """Wire the site to its transport and bind the listening socket."""
+        self.transport = TcpTransport(local_sid=self.sid)
         self.site = Site(
             self.sid, self.transport, service_time=self._service_time
         )
         self._server = await asyncio.start_server(
-            self._on_connection, self._host, self._port
+            self.transport.accept, self._host, self._port
         )
         self._port = self._server.sockets[0].getsockname()[1]
 
@@ -129,13 +81,9 @@ class SiteServer:
         """Stop accepting, drop every connection, release the port."""
         if self._server is not None:
             self._server.close()
+            await self.transport.close()
             await self._server.wait_closed()
             self._server = None
-        self._drop_connections()
-        for task in list(self._conn_tasks):
-            task.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await task
 
     # -- crash / recovery (in-process fault injection) -----------------
 
@@ -145,72 +93,14 @@ class SiteServer:
         Observably identical to SIGKILL from the coordinator's side: the
         connection drops and nothing answers until :meth:`recover`.
         """
-        self._accepting = False
-        assert self.site is not None
+        assert self.site is not None and self.transport is not None
         self.site.crash()
-        self._drop_connections()
+        self.transport.disconnect_all()
 
     def recover(self) -> None:
         """Resume service (stable storage intact, 2PC termination runs)."""
-        self._accepting = True
         assert self.site is not None
         self.site.recover()
-
-    def _drop_connections(self) -> None:
-        for writer in self._writers.values():
-            writer.close()
-        self._writers.clear()
-
-    # -- outbound ------------------------------------------------------
-
-    def route(self, message: Any) -> None:
-        """Deliver an outbound protocol message to its peer connection."""
-        writer = self._writers.get(message.dst)
-        if writer is None or writer.is_closing():
-            return  # peer gone: drop, the quorum layer tolerates loss
-        try:
-            write_frame(writer, encode_message(message))
-        except (ConnectionError, CodecError):
-            self._writers.pop(message.dst, None)
-
-    # -- inbound -------------------------------------------------------
-
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-            task.add_done_callback(self._conn_tasks.discard)
-        peer_sid: int | None = None
-        try:
-            hello = await read_frame(reader)
-            if (
-                not self._accepting
-                or hello is None
-                or hello.get("kind") != "hello"
-                or not isinstance(hello.get("sid"), int)
-            ):
-                return
-            peer_sid = hello["sid"]
-            self._writers[peer_sid] = writer
-            write_frame(writer, {"kind": "hello", "sid": self.sid})
-            while True:
-                frame = await read_frame(reader)
-                if frame is None:
-                    return
-                if frame.get("kind") != "msg":
-                    continue  # control frames are not for the site
-                message = decode_message(frame)
-                if self._accepting:
-                    assert self.site is not None
-                    self.site.receive(message)
-        except (ConnectionError, CodecError, asyncio.CancelledError):
-            return
-        finally:
-            if peer_sid is not None and self._writers.get(peer_sid) is writer:
-                del self._writers[peer_sid]
-            writer.close()
 
 
 def _report(line: str) -> None:

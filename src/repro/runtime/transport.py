@@ -1,15 +1,22 @@
-"""Coordinator-side TCP transport: the seam over real sockets.
+"""The TCP transport: the seam over real sockets, at both ends.
 
-One :class:`TcpTransport` lives in the coordinator front-end process.
-It dials every site process, keeps one connection per site SID, and
-implements the transport seam the protocol layer speaks:
+A :class:`TcpTransport` is the real backend's only TCP peer layer.  The
+coordinator front-end dials every site with :meth:`~TcpTransport.connect`;
+each site's :class:`~repro.runtime.siteserver.SiteServer` hands
+:meth:`~TcpTransport.accept` to ``asyncio.start_server``.  Either end
+keeps one connection per peer SID and implements the transport seam the
+protocol layer speaks:
 
+* the first frame each way is a ``hello`` carrying the sender's SID,
+  validated by :func:`_read_hello` at both ends; the listening end
+  answers only while its local endpoint is up;
 * ``send``/``broadcast`` encode protocol messages as length-prefixed
-  JSON frames onto the destination's connection — messages to a dead or
-  never-connected peer drop silently, exactly the loss the quorum
+  JSON frames onto the destination's connection — a message to a dead or
+  never-connected peer, or one that cannot be encoded, is dropped and
+  counted without touching the connection: the loss the quorum
   timeout/retry machinery exists to absorb;
 * inbound frames are decoded and handed to the registered local endpoint
-  (the coordinator) — delivery order per peer is the socket's FIFO;
+  if it is up — delivery order per peer is the socket's FIFO;
 * connection loss marks the peer dead, bumps the liveness epoch (so
   cached live-sets and leases invalidate) and feeds :meth:`is_live`,
   which is the runtime's liveness oracle: a SIGKILLed site's socket
@@ -48,17 +55,31 @@ class TransportStats:
     disconnects: int = 0
 
 
+async def _read_hello(reader: asyncio.StreamReader) -> int | None:
+    """The SID a peer's first frame announces, or ``None`` unless that
+    frame is a ``hello`` with an ``int`` SID."""
+    try:
+        hello = await read_frame(reader)
+    except (ConnectionError, CodecError):
+        return None
+    if hello is None or hello.get("kind") != "hello":
+        return None
+    sid = hello.get("sid")
+    return sid if isinstance(sid, int) else None
+
+
 class TcpTransport:
-    """The transport seam over one-connection-per-site TCP."""
+    """The transport seam over one-connection-per-peer TCP."""
 
     def __init__(self, local_sid: int = -1) -> None:
         self._clock = AsyncClock(asyncio.get_event_loop())
-        #: SID announced in the ``hello`` handshake; sites route replies
-        #: addressed to it back on this transport's connection.
+        #: SID announced in the ``hello`` handshake; the peer routes
+        #: messages addressed to it back on this transport's connection.
         self.local_sid = local_sid
         self._endpoints: dict[int, Endpoint] = {}
         self._writers: dict[int, asyncio.StreamWriter] = {}
-        self._reader_tasks: dict[int, asyncio.Task] = {}
+        #: Handshakes and pumps still running, cancelled by :meth:`close`.
+        self._tasks: set[asyncio.Task] = set()
         self._liveness_epoch = 0
         self.stats = TransportStats()
 
@@ -70,7 +91,7 @@ class TcpTransport:
     # -- registry ------------------------------------------------------
 
     def register(self, sid: int, endpoint: Endpoint) -> None:
-        """Attach a local endpoint (the coordinator) under ``sid``."""
+        """Attach a local endpoint (a coordinator or a site) under ``sid``."""
         if sid in self._endpoints:
             raise ValueError(f"SID {sid} already registered")
         self._endpoints[sid] = endpoint
@@ -123,24 +144,49 @@ class TcpTransport:
                 if self._clock.now - start > deadline:
                     raise
                 await asyncio.sleep(retry_delay)
-        write_frame(writer, {"kind": "hello", "sid": self.local_sid})
-        hello = await read_frame(reader)
-        if hello is None or hello.get("kind") != "hello":
+        try:
+            write_frame(writer, {"kind": "hello", "sid": self.local_sid})
+            peer = await _read_hello(reader)
+        except asyncio.CancelledError:
             writer.close()
-            raise ConnectionError(f"site {sid} did not complete handshake")
-        if hello.get("sid") != sid:
+            raise
+        if peer != sid:
             writer.close()
             raise ConnectionError(
-                f"dialed site {sid} but peer announced {hello.get('sid')}"
+                f"dialed site {sid} but peer announced {peer}"
             )
-        old = self._writers.pop(sid, None)
+        old = self._writers.get(sid)
         if old is not None:
             old.close()
         self._writers[sid] = writer
-        self._reader_tasks[sid] = asyncio.get_running_loop().create_task(
-            self._pump(sid, reader, writer)
-        )
         self.bump_liveness_epoch()
+        pump = self._pump(sid, reader, writer)
+        self._track(asyncio.get_running_loop().create_task(pump))
+
+    async def accept(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        """The listening end (the ``asyncio.start_server`` callback).
+
+        Answers a peer's ``hello`` only while the local endpoint is up,
+        then pumps the connection exactly like a dialed one.
+        """
+        self._track(asyncio.current_task())
+        try:
+            peer = await _read_hello(reader)
+            local = self._endpoints.get(self.local_sid)
+            if peer is None or local is None or not local.up:
+                return
+            write_frame(writer, {"kind": "hello", "sid": self.local_sid})
+            self._writers[peer] = writer
+            self.bump_liveness_epoch()
+            await self._pump(peer, reader, writer)
+        finally:
+            writer.close()
+
+    def _track(self, task: asyncio.Task) -> None:
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
 
     async def _pump(
         self,
@@ -162,7 +208,7 @@ class TcpTransport:
                     continue
                 self.stats.delivered += 1
                 endpoint.receive(message)
-        except (ConnectionError, CodecError, asyncio.CancelledError):
+        except (ConnectionError, CodecError):
             return
         finally:
             if self._writers.get(sid) is writer:
@@ -171,21 +217,25 @@ class TcpTransport:
                 self.bump_liveness_epoch()
             writer.close()
 
-    async def close(self) -> None:
-        """Drop every connection and cancel the inbound pumps."""
-        for writer in list(self._writers.values()):
+    def disconnect_all(self) -> None:
+        """Close every connection; each pump then ends on its EOF."""
+        for writer in self._writers.values():
             writer.close()
+
+    async def close(self) -> None:
+        """Drop every connection and cancel the handshakes and pumps."""
+        self.disconnect_all()
         self._writers.clear()
-        for task in list(self._reader_tasks.values()):
+        for task in list(self._tasks):
             task.cancel()
             with contextlib.suppress(asyncio.CancelledError):
                 await task
-        self._reader_tasks.clear()
 
     # -- delivery ------------------------------------------------------
 
     def send(self, message: Any) -> None:
-        """Frame and queue one protocol message (drops if the peer is gone)."""
+        """Frame and queue one protocol message (drops if the peer is gone
+        or the message cannot be encoded)."""
         self.stats.sent += 1
         writer = self._writers.get(message.dst)
         if writer is None or writer.is_closing():

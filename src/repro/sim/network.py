@@ -11,9 +11,10 @@ here:
 * messages addressed to a crashed endpoint are dropped at delivery time
   (fail-stop sites do not process input while down).
 
-Endpoints register under their SID and must expose ``receive(message)`` and
-``up`` — both replicas (:class:`repro.sim.site.Site`) and coordinators
-qualify.
+Endpoints register under their SID and satisfy the seam's
+:class:`~repro.runtime.interfaces.Endpoint` (``receive(message)`` and a
+plain ``up`` attribute) — both replicas (:class:`repro.sim.site.Site`)
+and coordinators qualify.
 """
 
 from __future__ import annotations
@@ -21,24 +22,11 @@ from __future__ import annotations
 import random
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
-from typing import Protocol
 
 from repro.obs.recorder import NULL_RECORDER, NullRecorder
+from repro.runtime.interfaces import Endpoint
 from repro.sim.events import Scheduler
 from repro.sim.messages import Message
-
-
-class Endpoint(Protocol):
-    """Anything that can be addressed on the network."""
-
-    #: Whether the endpoint currently processes messages.  A plain
-    #: attribute (not a property) by contract: the network reads it on
-    #: every delivery, and endpoints flip it on crash/recover.
-    up: bool
-
-    def receive(self, message: Message) -> None:
-        """Handle a delivered message."""
-        ...
 
 
 @dataclass
